@@ -71,7 +71,14 @@ class TrackerConfig:
 # ---------------------------------------------------------------------------
 
 class CompiledSystem:
-    """Shared-monomial-basis evaluator for F and dF over path batches."""
+    """Shared-monomial-basis evaluator for F and dF over path batches.
+
+    Each monomial is stored as its nonzero factors x_v^e in ascending
+    variable order, front-padded with the factor 1 to the largest support,
+    as flat indices into a (maxdeg+1, nvars) power table.  One evaluation
+    costs maxdeg multiplications to fill the table and one gather-multiply
+    per factor slot, whatever the number of variables and monomials.
+    """
 
     def __init__(self, equations: Sequence[CPoly], nvars: int):
         self.nvars = nvars
@@ -93,7 +100,15 @@ class CompiledSystem:
         self.exps = np.zeros((self.nm, nvars), dtype=np.int64)
         for e, idx in monomials.items():
             self.exps[idx] = e
-        self.maxpow = self.exps.max(axis=0) if self.nm else np.zeros(nvars, dtype=np.int64)
+        self.maxdeg = int(self.exps.max()) if self.exps.size else 0
+        # _factor_idx[j, m] = e * nvars + v; padding first (index 0, x_0^0 = 1)
+        # keeps the products in per-variable order, hence bitwise the same
+        support = [np.nonzero(row)[0] for row in self.exps]
+        width = max((len(s) for s in support), default=0)
+        self._factor_idx = np.zeros((width, self.nm), dtype=np.intp)
+        for mono, vars_ in enumerate(support):
+            self._factor_idx[width - len(vars_):, mono] = \
+                self.exps[mono, vars_] * nvars + vars_
 
         from scipy.sparse import csr_matrix
 
@@ -116,26 +131,20 @@ class CompiledSystem:
         self._cjt = self._cj.T.tocsr()
         self.coeff_scale = max((abs(c) for eq in equations
                                 for c in eq.terms.values()), default=1.0)
-        # per-variable columns with nonzero exponent, for the value builder
-        self._var_cols = [np.nonzero(self.exps[:, v])[0] for v in range(nvars)]
 
     def monomial_values(self, x: np.ndarray) -> np.ndarray:
         """(nm, N) values of every monomial at each batch point (transposed
         layout keeps the gather-multiply passes contiguous)."""
         n = x.shape[0]
+        pows = np.empty((self.maxdeg + 1, self.nvars, n), dtype=x.dtype)
+        pows[0] = 1
+        xt = x.T
+        for k in range(1, self.maxdeg + 1):
+            np.multiply(pows[k - 1], xt, out=pows[k])
+        table = pows.reshape(-1, n)
         v = np.ones((self.nm, n), dtype=x.dtype)
-        xt = np.ascontiguousarray(x.T)
-        for var in range(self.nvars):
-            cols = self._var_cols[var]
-            if cols.size == 0:
-                continue
-            mp = int(self.maxpow[var])
-            pows = np.empty((mp + 1, n), dtype=x.dtype)
-            pows[0] = 1
-            xi = xt[var]
-            for k in range(1, mp + 1):
-                np.multiply(pows[k - 1], xi, out=pows[k])
-            v[cols] *= pows[self.exps[cols, var]]
+        for idx in self._factor_idx:
+            v *= table[idx]
         return v
 
     def eval(self, x: np.ndarray, mv: np.ndarray | None = None) -> np.ndarray:
@@ -245,7 +254,11 @@ class MultihomogStart:
     start points obtained from block linear solves.
 
     Evaluation uses the product structure directly (prefix/suffix products
-    for the Jacobian), never the expanded polynomials.
+    for the Jacobian), never the expanded polynomials.  Every equation's
+    factor list is padded to the longest one, F factors, with the factor
+    0 . x + 1; the factors are stored factor-major as (F*ne, nvars) full-width
+    rows, so factor k of every equation is one contiguous (ne, N) slice and
+    one evaluation costs O(F) array operations, whatever ne and nvars are.
     """
 
     def __init__(self, equations: Sequence[CPoly], groups: list[list[int]],
@@ -254,15 +267,17 @@ class MultihomogStart:
         self.groups = groups
         self.deg = [[eq.degree_on(g) for g in groups] for eq in equations]
         self.count = mh_bezout(self.deg, [len(g) for g in groups])
-        # factors[i][g][j] = (coeff over group vars, const); rows[i] stacks the
-        # same factors as full-width affine forms for vectorized evaluation
+        ne = len(equations)
+        nfactors = max((sum(row) for row in self.deg), default=0)
+        # factors[i][g][j] = (coeff over group vars, const); rows[k*ne + i]
+        # and consts[k, i] hold factor k of equation i as a full-width affine
+        # form, padding factors have a zero row and constant 1
         self.factors: list[list[list[tuple[np.ndarray, complex]]]] = []
-        self.rows: list[np.ndarray] = []
-        self.consts: list[np.ndarray] = []
-        for i in range(len(equations)):
+        rows = np.zeros((nfactors, ne, nvars), dtype=complex)
+        self.consts = np.ones((nfactors, ne, 1), dtype=complex)
+        for i in range(ne):
             per_group = []
-            full_rows = []
-            full_consts = []
+            k = 0
             for g, gvars in enumerate(groups):
                 fs = []
                 for _ in range(self.deg[i][g]):
@@ -270,42 +285,34 @@ class MultihomogStart:
                              + 1j * rng.normal(size=len(gvars)))
                     const = complex(rng.normal() + 1j * rng.normal())
                     fs.append((coeff, const))
-                    row = np.zeros(nvars, dtype=complex)
-                    row[gvars] = coeff
-                    full_rows.append(row)
-                    full_consts.append(const)
+                    rows[k, i, gvars] = coeff
+                    self.consts[k, i, 0] = const
+                    k += 1
                 per_group.append(fs)
             self.factors.append(per_group)
-            self.rows.append(np.array(full_rows))
-            self.consts.append(np.array(full_consts))
+        self.rows = rows.reshape(nfactors * ne, nvars)
+        # equation-major copy for the batched Jacobian product
+        self._rows_by_eq = np.ascontiguousarray(rows.transpose(1, 0, 2))
 
     def eval_and_jac(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = x.shape[0]
-        ne = len(self.rows)
-        if not hasattr(self, "_stacked"):
-            # one affine map for all factors of all equations, plus segments
-            self._offsets = np.cumsum([0] + [r.shape[0] for r in self.rows])
-            self._allrows = np.concatenate(self.rows, axis=0)
-            self._allconsts = np.concatenate(self.consts)
-            self._stacked = True
-        lv = x @ self._allrows.T + self._allconsts[None, :]
-        vals = np.empty((n, ne), dtype=x.dtype)
-        jac = np.zeros((n, ne, self.nvars), dtype=x.dtype)
-        for i in range(ne):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            nf = hi - lo
-            seg = lv[:, lo:hi]
-            pre = np.empty((n, nf + 1), dtype=x.dtype)
-            suf = np.empty((n, nf + 1), dtype=x.dtype)
-            pre[:, 0] = 1
-            suf[:, nf] = 1
-            for k in range(nf):
-                np.multiply(pre[:, k], seg[:, k], out=pre[:, k + 1])
-            for k in range(nf - 1, -1, -1):
-                np.multiply(suf[:, k + 1], seg[:, k], out=suf[:, k])
-            vals[:, i] = pre[:, nf]
-            jac[:, i, :] = (pre[:, :nf] * suf[:, 1:]) @ self._allrows[lo:hi]
-        return vals, jac
+        nf, ne, _ = self.consts.shape
+        lv = (self.rows @ x.T).reshape(nf, ne, n)
+        lv += self.consts
+        pre = np.empty((nf + 1, ne, n), dtype=lv.dtype)
+        suf = np.empty_like(pre)
+        pre[0] = 1
+        suf[nf] = 1
+        for k in range(nf):
+            np.multiply(pre[k], lv[k], out=pre[k + 1])
+        for k in range(nf - 1, -1, -1):
+            np.multiply(suf[k + 1], lv[k], out=suf[k])
+        # d(prod_k l_k)/dx = sum_k (prod_{j != k} l_j) row_k
+        coef = np.multiply(pre[:nf], suf[1:], out=lv)
+        jac = np.empty((n, ne, self.nvars), dtype=lv.dtype)
+        np.matmul(coef.transpose(1, 2, 0), self._rows_by_eq,
+                  out=jac.transpose(1, 0, 2))
+        return pre[nf].T, jac
 
     def _assignments(self) -> Iterator[tuple[int, ...]]:
         """Which group each equation serves, respecting group capacities."""
@@ -1174,9 +1181,11 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
     section = instance.section_kind()
     st = instance.structure()
     if st is None:
+        if s == 0 and instance.weights.is_rank_one():
+            # Lam = a b^T: X -> D_a^{1/2} X D_b^{1/2} turns the problem into
+            # unweighted Eckart-Young, one critical point per kept subset
+            return systems.unit_weight_critical_count(m, n, r), "rank-one weight subset count"
         if instance.is_unit_weights():
-            if s == 0:
-                return systems.unit_weight_critical_count(m, n, r), "unit-weight subset count"
             if m == n and r == n - 1 and section == "linear":
                 return (eddegree.conjectured_corank1_unit(m, n, s),
                         "conjectured unit-weight value")

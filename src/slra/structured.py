@@ -281,6 +281,12 @@ class WeightMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows])
 
+    def is_rank_one(self) -> bool:
+        """Exactly w_ij w_00 = w_i0 w_0j everywhere (weights are nonzero)."""
+        w = self.rows
+        return all(x * w[0][0] == w[i][0] * w[0][j]
+                   for i, row in enumerate(w) for j, x in enumerate(row))
+
     def hadamard_inverse(self) -> "WeightMatrix":
         return WeightMatrix(tuple(tuple(Fraction(1) / x for x in row)
                                   for row in self.rows))

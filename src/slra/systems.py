@@ -559,10 +559,13 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
         [lagrange_start + k for k in range(m * n)]
         + [None] * (n_y + n_z + n_w))
 
+    # absolute scale: for r = 1 the ratio sv[r-1] / sv[0] is always 1, which
+    # would let the cone point X = 0 (on every linear section) through
+    data_scale = 1.0 + float(np.max(np.abs(U)))
+
     def degen(coords, X, tol):
         sv = np.linalg.svd(X, compute_uv=False)
-        top = sv[0] if sv[0] > 0 else 1.0
-        return bool(sv[r - 1] / top < tol)
+        return bool(sv[r - 1] < tol * max(sv[0], data_scale))
 
     # (Y^t X) Z = Y^t (X Z) identically: the a*b syzygies live in the
     # bilinear block, whose equations must absorb the squaring reduction

@@ -78,6 +78,67 @@ def test_set_partitions():
     assert len(sv.set_partitions(list("abcd"))) == 15
 
 
+def _monomial(nvars, exps, coeff=1.0):
+    return CPoly(nvars, {tuple(exps): coeff})
+
+
+@pytest.mark.parametrize("batch", [1, 500])
+def test_multihomog_start_matches_factor_products(batch):
+    # equations with 1, 2, 3 and 4 factors over the groups {x0, x1}, {x2, x3}
+    eqs = [_monomial(4, e) for e in
+           ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (2, 0, 0, 2))]
+    groups = [[0, 1], [2, 3]]
+    start = sv.MultihomogStart(eqs, groups, 4, np.random.default_rng(3))
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 4)) + 1j * rng.normal(size=(batch, 4))
+
+    def expanded(xs):
+        out = np.ones((xs.shape[0], len(eqs)), dtype=complex)
+        for i, per_group in enumerate(start.factors):
+            for g, factors in enumerate(per_group):
+                for coeff, const in factors:
+                    out[:, i] *= xs[:, groups[g]] @ coeff + const
+        return out
+
+    vals, jac = start.eval_and_jac(x)
+    ref = expanded(x)
+    assert np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))) < 1e-12
+    h = 1e-6
+    for v in range(4):
+        step = np.zeros(4)
+        step[v] = h
+        fd = (expanded(x + step) - expanded(x - step)) / (2 * h)
+        assert np.max(np.abs(jac[:, :, v] - fd) / (1.0 + np.abs(fd))) < 1e-7
+
+
+def _monomial_values_by_variable(compiled, x):
+    # per-variable reference: multiply in x_v^e for v = 0, 1, ... in turn
+    v = np.ones((compiled.nm, x.shape[0]), dtype=x.dtype)
+    for var in range(compiled.nvars):
+        cols = np.nonzero(compiled.exps[:, var])[0]
+        pows = np.empty((compiled.exps[:, var].max() + 1, x.shape[0]), dtype=x.dtype)
+        pows[0] = 1
+        for k in range(1, pows.shape[0]):
+            np.multiply(pows[k - 1], x[:, var], out=pows[k])
+        v[cols] *= pows[compiled.exps[cols, var]]
+    return v
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_monomial_values_match_power_products(dtype):
+    eqs = [CPoly(3, {(0, 0, 0): 2.0, (3, 1, 0): 1.0, (0, 2, 2): -1.5}),
+           CPoly(3, {(1, 1, 1): 0.5, (0, 0, 4): 1.0, (2, 0, 0): 3.0})]
+    compiled = sv.CompiledSystem(eqs, 3)
+    assert not compiled.exps[0].any()      # the constant monomial is kept
+    rng = np.random.default_rng(11)
+    x = (rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))).astype(dtype)
+    mv = compiled.monomial_values(x)
+    assert mv.dtype == dtype
+    ref = np.prod(x[:, None, :] ** compiled.exps, axis=2).T
+    assert np.max(np.abs(mv - ref) / (1.0 + np.abs(ref))) < 1e-13
+    assert np.array_equal(mv, _monomial_values_by_variable(compiled, x))
+
+
 def test_start_point_count_matches_bound():
     rey = st.load_dataset("rey")
     system = sy.dual_rank1(rey.data_array(), rey.weights.as_array())
@@ -201,6 +262,32 @@ def test_reconcile_report():
     mismatch = sv.reconcile(ss, predicted=7)
     assert mismatch["agreement"] is False
     assert "suggestion" in mismatch
+
+
+def test_normal_space_excludes_the_cone_point():
+    # X = 0 lies on every linear section and on the rank <= 1 cone; for r = 1
+    # the singular-value ratio cannot see it, so the filter needs a scale
+    inst = st.dense_instance(2, 3, 1, seed=877150602, s=2)
+    system = sy.normal_space(inst)
+    assert system.degenerate(None, np.zeros((2, 3)), 1e-8)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=877150602, charts=1))
+    assert ss.predicted == 7
+    assert ss.n_complex == 7
+    assert all(np.max(np.abs(p.X)) > 1e-3 for p in ss.points)
+
+
+@pytest.mark.parametrize("weights, data, seed", [
+    (((16, 4), (4, 1)), ((73, -79), (41, -57)), 415788341),
+    (((14, 3), (14, 3)), ((86, -33), (-79, -51)), 2976883023),
+])
+def test_rank_one_weights_predict_the_unit_weight_count(weights, data, seed):
+    # Lam = a b^T rescales to the unweighted problem: C(2, 1) points, not 6
+    inst = st.Instance(m=2, n=2, r=1, family="dense", U=data,
+                       weights=st.WeightMatrix.from_rows(weights))
+    assert inst.weights.is_rank_one()
+    ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=seed))
+    assert ss.predicted == 2 == ss.n_complex
+    assert not st.WeightMatrix.from_rows([[1, 2], [3, 4]]).is_rank_one()
 
 
 def test_dedup_prefers_clean_representatives():
