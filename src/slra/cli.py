@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -211,7 +210,7 @@ def run_report(command: str, seed: int, cfg: solver.TrackerConfig,
             "dedup_tol": cfg.dedup_tol, "real_tol": cfg.real_tol,
             "min_step": cfg.min_step, "max_step": cfg.max_step,
             "max_steps": cfg.max_steps, "start_kind": stats.start_kind,
-            "threads": cfg.threads, "seed": cfg.seed, "charts": stats.charts,
+            "seed": cfg.seed, "charts": stats.charts,
         },
         "n_paths": stats.n_paths,
         "n_converged": stats.n_converged,
@@ -228,17 +227,11 @@ def run_report(command: str, seed: int, cfg: solver.TrackerConfig,
     }
 
 
-def _threads_default(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("ED_SLRA_THREADS", "1"))
-
-
 def _config_from_args(args, seed: int) -> solver.TrackerConfig:
     return solver.TrackerConfig(
         track_tol=args.track_tol, newton_tol=args.newton_tol,
         dedup_tol=args.dedup_tol, real_tol=args.real_tol,
-        start_kind=args.start_kind, threads=_threads_default(args),
+        start_kind=args.start_kind,
         seed=seed, charts=args.charts, max_paths=args.max_paths,
     )
 
@@ -526,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="weight override: omega|ones|theta (Hankel) or unit")
     p.add_argument("--r", type=int, default=None, help="rank override")
-    p.add_argument("--threads", type=int, default=None,
-                   help="scheduling hint (ED_SLRA_THREADS fallback); output "
-                        "is identical for any value")
     p.add_argument("--charts", type=int, default=2)
     p.add_argument("--start-kind", choices=("auto", "total", "mh"), default="auto")
     p.add_argument("--max-paths", type=int, default=500_000)

@@ -3,15 +3,15 @@
 Total-degree and multihomogeneous start systems, gamma-trick path tracking
 (RK4 predictor on the Davidenko ODE + Newton corrector with adaptive steps),
 endpoint refinement on the original (unsquared) system, residual and
-degenerate-locus filtering, symmetry folding, deduplication, realness and
-second-order classification, and count reconciliation against the exact
-ED-degree engine.
+degenerate-locus filtering, symmetry folding, deduplication, realness, and
+count reconciliation against the exact ED-degree engine.  Every real point
+is classified by one projected Lagrangian Hessian in a rank-factor chart of
+the rank-r matrices, whatever the family or formulation.
 
 Paths are tracked in vectorized batches: the per-path adaptive state lives in
 flat numpy arrays and every predictor/corrector stage is a batched polynomial
-evaluation plus a batched linear solve, so the output is independent of any
-scheduling/thread configuration by construction; results are canonically
-sorted at the end.
+evaluation plus a batched linear solve; results are canonically sorted at
+the end.
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ class TrackerConfig:
     max_step: float = 0.1
     max_steps: int = 10_000
     start_kind: str = "auto"       # "auto" | "total" | "mh"
-    threads: int = 1               # scheduling hint only; output is identical
     seed: int = 0
     charts: int = 2
     chunk: int = 6000
     max_paths: int = 500_000
-    polish: bool = True
     div_threshold: float = 1e8
 
     def __post_init__(self):
@@ -767,7 +765,7 @@ def refine_full(system: PolySystem, compiled_full: CompiledSystem,
         xc = xc + delta
         if np.max(np.abs(delta)) < cfg.newton_tol * (1.0 + np.max(np.abs(xc))):
             break
-    if cfg.polish and xc.shape[0] <= 2000:
+    if xc.shape[0] <= 2000:
         xc = _polish_extended(system, compiled_full, xc)
     return xc
 
@@ -847,6 +845,15 @@ class SolutionSet:
         return min(reals, key=lambda p: p.objective) if reals else None
 
 
+def _close(target: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the candidates (stacked along axis 0) that match target:
+    max|c - target| < tol * (1 + max(max|c|, max|target|))."""
+    t = np.ravel(target)
+    c = candidates.reshape(len(candidates), t.size)
+    scale = 1.0 + np.maximum(np.max(np.abs(t)), np.max(np.abs(c), axis=1))
+    return np.max(np.abs(c - t), axis=1) < tol * scale
+
+
 def _dedup(points: list[tuple], tol: float) -> list[tuple]:
     """Cluster by matrix-space distance; prefer cleanly converged
     representatives, then the smallest residual."""
@@ -854,52 +861,50 @@ def _dedup(points: list[tuple], tol: float) -> list[tuple]:
         return []
     order = sorted(range(len(points)),
                    key=lambda i: (points[i][4], points[i][2], i))
-    kept: list[tuple] = []
-    for i in order:
-        entry = points[i]
-        mat = entry[1]
-        dup = False
-        for other in kept:
-            mat2 = other[1]
-            scale = 1.0 + max(np.max(np.abs(mat)), np.max(np.abs(mat2)))
-            if np.max(np.abs(mat - mat2)) < tol * scale:
-                dup = True
-                break
-        if not dup:
-            kept.append(entry)
-    return kept
+    mats = np.array([points[i][1] for i in order])
+    kept: list[int] = []
+    for i in range(len(order)):
+        if not _close(mats[i], mats[kept], tol).any():
+            kept.append(i)
+    return [points[order[i]] for i in kept]
+
+
+def _pair_up(targets: np.ndarray, candidates: np.ndarray,
+             tol: float) -> list[tuple[int, int | None]]:
+    """Greedy pairing in index order: every index not yet taken leads and
+    takes the first later untaken index whose candidate matches its target."""
+    taken = np.zeros(len(targets), dtype=bool)
+    pairs: list[tuple[int, int | None]] = []
+    for i in range(len(targets)):
+        if taken[i]:
+            continue
+        hits = np.flatnonzero(_close(targets[i], candidates[i + 1:], tol)
+                              & ~taken[i + 1:])
+        j = i + 1 + int(hits[0]) if hits.size else None
+        if j is not None:
+            taken[j] = True
+        pairs.append((i, j))
+    return pairs
 
 
 def _fold_symmetry(points: list[tuple], system: PolySystem, tol: float,
                    warnings: list[str]) -> list[tuple]:
     """Quotient by the chart symmetry: keep one representative per orbit,
     matching partners by nearest neighbor under the involution."""
-    if system.symmetry is None or system.symmetry_order == 1:
+    if system.symmetry is None or system.symmetry_order == 1 or not points:
         return points
+    coords = np.array([p[0] for p in points])
+    images = np.array([system.symmetry(c) for c in coords])
+    tol = max(tol, 1e-4)
     kept = []
-    used = [False] * len(points)
-    for i, entry in enumerate(points):
-        if used[i]:
-            continue
-        used[i] = True
-        coords = entry[0]
-        image = system.symmetry(coords)
-        matched = False
-        for j in range(i + 1, len(points)):
-            if used[j]:
-                continue
-            scale = 1.0 + max(np.max(np.abs(image)), np.max(np.abs(points[j][0])))
-            if np.max(np.abs(points[j][0] - image)) < max(tol, 1e-4) * scale:
-                used[j] = True
-                matched = True
-                break
-        if not matched:
+    for i, j in _pair_up(images, coords, tol):
+        if j is None:
             # fixed points of the involution sit on the degenerate locus and
             # are filtered earlier; anything else deserves a diagnostic
-            scale = 1.0 + np.max(np.abs(coords))
-            if np.max(np.abs(image - coords)) > max(tol, 1e-4) * scale:
+            scale = 1.0 + np.max(np.abs(coords[i]))
+            if np.max(np.abs(images[i] - coords[i])) > tol * scale:
                 warnings.append("unmatched symmetry partner; counting once")
-        kept.append(entry)
+        kept.append(points[i])
     return kept
 
 
@@ -926,28 +931,17 @@ def _eig_classify(hessian: np.ndarray, constraint_jac: np.ndarray | None = None)
     return "ambiguous"
 
 
-def _poly_hessian(potential: CPoly, point: np.ndarray) -> np.ndarray:
-    nv = potential.n
-    h = np.zeros((nv, nv), dtype=complex)
-    for i in range(nv):
-        di = potential.diff(i)
-        for j in range(i, nv):
-            val = di.diff(j).eval(point)
-            h[i, j] = val
-            h[j, i] = val
-    return h
-
-
-def _rank_factor_chart(instance: Instance, X: np.ndarray):
-    """Objective and constraint polys in a rank-r product chart around X.
+def _rank_factor_chart(X: np.ndarray, r: int):
+    """Differential and pivot split of a rank-r product chart around X.
 
     Pivot rows (greedy volume choice) hold the free factor B = X[rows]; the
-    other rows are unknown combinations A of them: X_i = sum_k a_ik B_k.
+    other rows are combinations A of them, X_i = sum_k a_ik B_k.  Returns
+    D = dvec(X)/d(vec A, vec B) as an (mn, P) array, the non-pivot rows, and
+    the parameter indices of A (m-r, r) and B (r, n).
     """
-    m, n, r = instance.m, instance.n, instance.r
-    Xr = np.real(X)
+    m, n = X.shape
     rows: list[int] = []
-    residual = Xr.copy()
+    residual = X.copy()
     for _ in range(r):
         norms = np.linalg.norm(residual, axis=1)
         pick = int(np.argmax(norms))
@@ -963,145 +957,42 @@ def _rank_factor_chart(instance: Instance, X: np.ndarray):
     while len(rows) < r:
         rows.append(next(i for i in range(m) if i not in rows))
         rows = sorted(rows)
-    others = [i for i in range(m) if i not in rows]
-    b0 = Xr[rows, :]
-    a0, *_ = np.linalg.lstsq(b0.T, Xr[others, :].T, rcond=None)
-    a0 = a0.T  # (m-r, r)
-
-    nparams = len(others) * r + r * n
-    Lam = instance.weights.as_array()
-    U = instance.data_array()
-
-    def a_var(io, k):
-        return CPoly.var(nparams, io * r + k)
-
-    def b_var(k, j):
-        return CPoly.var(nparams, len(others) * r + k * n + j)
-
-    xpolys: list[list[CPoly]] = [[None] * n for _ in range(m)]  # type: ignore[list-item]
-    for k, i in enumerate(rows):
-        for j in range(n):
-            xpolys[i][j] = b_var(k, j)
-    for io, i in enumerate(others):
-        for j in range(n):
-            p = CPoly.const(nparams, 0.0)
-            for k in range(r):
-                p = p + a_var(io, k) * b_var(k, j)
-            xpolys[i][j] = p
-
-    f = CPoly.const(nparams, 0.0)
-    for i in range(m):
-        for j in range(n):
-            d = xpolys[i][j] - U[i, j]
-            f = f + Lam[i, j] * (d * d)
-    constraints = []
-    for c in instance.constraints:
-        p = CPoly.const(nparams, float(c.constant))
-        for i in range(m):
-            for j in range(n):
-                cf = float(c.coeffs[i][j])
-                if cf:
-                    p = p + cf * xpolys[i][j]
-        constraints.append(p)
-    point = np.concatenate([a0.ravel(), b0.ravel()]).astype(complex)
-    return f, constraints, point
+    others = np.array([i for i in range(m) if i not in rows], dtype=np.intp)
+    b0 = X[rows, :]
+    a0 = np.linalg.lstsq(b0.T, X[others, :].T, rcond=None)[0].T  # (m-r, r)
+    a_idx = np.arange((m - r) * r).reshape(m - r, r)
+    b_idx = (m - r) * r + np.arange(r * n).reshape(r, n)
+    cols = np.arange(n)
+    D = np.zeros((m, n, (m - r) * r + r * n))
+    D[np.array(rows)[:, None], cols, b_idx] = 1.0
+    D[others[:, None, None], cols[:, None], a_idx[:, None, :]] = b0.T
+    D[others[:, None, None], cols[:, None], b_idx.T] = a0[:, None, :]
+    return D.reshape(m * n, -1), others, a_idx, b_idx
 
 
-def classify_point(instance: Instance | None, formulation: str,
-                   point: CriticalPoint, system: PolySystem) -> str:
+def classify_point(instance: Instance, point: CriticalPoint) -> str:
     """Second-order classification of a real critical point.
 
-    Unconstrained chart formulations use the chart Hessian of the objective;
-    constrained ones use the Lagrangian Hessian projected onto the numerical
-    tangent space of the constraint set.
+    One projected Lagrangian Hessian for every family: the objective
+    sum Lam_ij (X_ij - U_ij)^2 in a rank-factor chart of the rank-r matrices,
+    constrained by the rows of ``instance.linear_rows()`` (sections and
+    structure), tested on the tangent space of their intersection.
     """
-    X = np.real(point.X)
-    coords = point.coords
-
     if point.multiplicity_flag:
         return "ambiguous"
-
-    # single-chart parametrized formulations: the chart potential IS the
-    # instance objective, so its Hessian decides (coords must be real)
-    if formulation in ("hankel-rank1", "catalecticant") and system.potential is not None:
-        if np.max(np.abs(np.imag(coords))) < 1e-6 * (1.0 + np.max(np.abs(coords))):
-            h = _poly_hessian(system.potential, np.real(coords).astype(complex))
-            return _eig_classify(h)
-        return "ambiguous"
-
-    if instance is None:
-        return "ambiguous"
-
-    if instance.r == 1 and instance.structure() is None:
-        # real rank-one chart adapted at the point
-        Lam = instance.weights.as_array()
-        U = instance.data_array()
-        m, n = X.shape
-        j0 = int(np.argmax(np.linalg.norm(X, axis=0)))
-        i0 = int(np.argmax(np.abs(X[:, j0])))
-        if abs(X[i0, j0]) < 1e-13:
-            return "ambiguous"
-        v = X[i0, :] / X[i0, j0]
-        tt = X[:, j0]
-        nparams = m + n - 1
-        tvars = [CPoly.var(nparams, i) for i in range(m)]
-        vpolys = []
-        pos = 0
-        for j in range(n):
-            if j == j0:
-                vpolys.append(CPoly.const(nparams, 1.0))
-            else:
-                vpolys.append(CPoly.var(nparams, m + pos))
-                pos += 1
-        f = CPoly.const(nparams, 0.0)
-        for i in range(m):
-            for j in range(n):
-                d = tvars[i] * vpolys[j] - U[i, j]
-                f = f + Lam[i, j] * (d * d)
-        pt = np.concatenate([tt, np.delete(v, j0)]).astype(complex)
-        return _eig_classify(_poly_hessian(f, pt))
-
-    st = instance.structure()
-    if st is not None:
-        # structural coordinates with the determinant constraint (square
-        # corank-one families)
-        p, q = st.shape
-        if p == q and instance.r == p - 1:
-            ncoords = st.n_coords
-            w = [float(x) for x in st.coordinate_weights(instance.weights)]
-            u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
-            grid = [[CPoly.var(ncoords, st.grid[i][j]) if st.grid[i][j] is not None
-                     else CPoly.const(ncoords, 0.0) for j in range(q)]
-                    for i in range(p)]
-            det = systems.poly_det(grid)
-            f = CPoly.const(ncoords, 0.0)
-            for c in range(ncoords):
-                d = CPoly.var(ncoords, c) - u[c]
-                f = f + w[c] * (d * d)
-            xpt = np.array([float(x) for x in st.coords_from_matrix(X)],
-                           dtype=complex)
-            grad_f = np.array([f.diff(i).eval(xpt) for i in range(ncoords)])
-            grad_h = np.array([det.diff(i).eval(xpt) for i in range(ncoords)])
-            denom = float(np.real(np.vdot(grad_h, grad_h)))
-            if denom < 1e-30:
-                return "ambiguous"
-            mu = -float(np.real(np.vdot(grad_h, grad_f))) / denom
-            h = _poly_hessian(f, xpt) + mu * _poly_hessian(det, xpt)
-            return _eig_classify(h, np.real(grad_h)[None, :])
-        return "ambiguous"
-
-    # dense rank-r manifold chart with linear constraints
-    f, constraints, pt = _rank_factor_chart(instance, X)
-    grad_f = np.array([f.diff(i).eval(pt) for i in range(f.n)])
-    if constraints:
-        jac = np.array([[c.diff(i).eval(pt) for i in range(f.n)]
-                        for c in constraints])
-        mus, *_ = np.linalg.lstsq(np.real(jac).T, -np.real(grad_f), rcond=None)
-        h = _poly_hessian(f, pt)
-        for mu, c in zip(mus, constraints):
-            h = h + mu * _poly_hessian(c, pt)
-        return _eig_classify(h, np.real(jac))
-    return _eig_classify(_poly_hessian(f, pt))
+    X = np.real(point.X)
+    D, others, a_idx, b_idx = _rank_factor_chart(X, instance.r)
+    lam2 = 2.0 * instance.weights.as_array().ravel()
+    g = lam2 * (X - instance.data_array()).ravel()
+    C = instance.linear_rows()
+    J = C @ D
+    mu = np.linalg.lstsq(J.T, -(D.T @ g), rcond=None)[0]
+    G = (g + C.T @ mu).reshape(X.shape)
+    # the chart's only second derivatives: d2 X_ij / da_ik db_kj = 1
+    S = np.zeros((D.shape[1], D.shape[1]))
+    S[a_idx[:, :, None], b_idx[None, :, :]] = G[others][:, None, :]
+    H = D.T @ (lam2[:, None] * D) + S + S.T
+    return _eig_classify(H, J)
 
 
 # ---------------------------------------------------------------------------
@@ -1306,7 +1197,7 @@ def solve(instance: Instance, formulation: str = "auto",
                            chart=chart, multiplicity_flag=singular)
         if is_real:
             cp.objective = float(np.real(systems.objective(np.real(mat), U, Lam)))
-            cp.classification = classify_point(instance, formulation, cp, base)
+            cp.classification = classify_point(instance, cp)
         points.append(cp)
     points.sort(key=lambda p: p.sort_key())
 
@@ -1327,26 +1218,10 @@ def solve(instance: Instance, formulation: str = "auto",
 
 
 def _conjugate_mismatch(nonreal: list[CriticalPoint], tol: float) -> int:
-    used = [False] * len(nonreal)
-    unmatched = 0
-    for i, p in enumerate(nonreal):
-        if used[i]:
-            continue
-        used[i] = True
-        target = np.conj(p.X)
-        hit = False
-        for j in range(i + 1, len(nonreal)):
-            if used[j]:
-                continue
-            q = nonreal[j]
-            scale = 1.0 + max(np.max(np.abs(target)), np.max(np.abs(q.X)))
-            if np.max(np.abs(q.X - target)) < tol * scale:
-                used[j] = True
-                hit = True
-                break
-        if not hit:
-            unmatched += 1
-    return unmatched
+    if not nonreal:
+        return 0
+    mats = np.array([p.X for p in nonreal])
+    return sum(1 for _, j in _pair_up(np.conj(mats), mats, tol) if j is None)
 
 
 def reconcile(solution_set: SolutionSet, predicted: int | None = None) -> dict:

@@ -357,6 +357,27 @@ class Instance:
     def data_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.U])
 
+    def linear_rows(self) -> np.ndarray:
+        """Rows C over the row-major vec(X) whose common kernel is the
+        linear space of admissible X: every constraint's coefficient grid,
+        and for structured families X_p - X_q for each repeated coordinate
+        and X_p for each structurally zero position."""
+        mn = self.m * self.n
+        rows = [c.coeff_array().ravel() for c in self.constraints]
+        st = self.structure()
+        if st is not None:
+            first: dict[int, int] = {}
+            for p, c in enumerate(x for row in st.grid for x in row):
+                if c is not None and c not in first:
+                    first[c] = p
+                    continue
+                row = np.zeros(mn)
+                row[p] = 1.0
+                if c is not None:
+                    row[first[c]] = -1.0
+                rows.append(row)
+        return np.array(rows).reshape(len(rows), mn)
+
     def codimension(self) -> int:
         return len(self.constraints)
 

@@ -4,8 +4,7 @@ Each builder returns a PolySystem: sparse complex-coefficient equations over
 named variables, plus the metadata the solver needs (variable group labels
 for multihomogeneous starts, the chart map back to a matrix, degenerate-locus
 predicates, a symmetry fold, and the scalar potential whose gradient the
-equations realize, used by the finite-difference tests and the second-order
-classifier).
+equations realize, used by the finite-difference tests).
 
 Formulations:
 

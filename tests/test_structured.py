@@ -232,3 +232,26 @@ def test_sylvester_instance_roundtrip():
     back = st.Instance.from_dict(json.loads(json.dumps(inst.to_dict())))
     assert back == inst
     assert back.structure().shape == (4, 3)
+
+
+@pytest.mark.parametrize("inst", [
+    st.hankel_instance(5, [1, 2, 3, 4, 5]),
+    st.hankel_instance(6, [1, 2, 3, 4, 5, 6], r=2),
+    st.sylvester_instance(1, 2, 1, [3, -2], [1, 4, -5]),
+    st.sylvester_instance(2, 3, 2, [1, 2, 3], [4, 5, 6, 7]),
+    st.catalecticant_instance({k: i for i, k in enumerate(st.CATALECTICANT_COORDS)}),
+], ids=["hankel5", "hankel6", "sylvester121", "sylvester232", "catalecticant"])
+def test_linear_rows_cut_out_the_structured_space(inst):
+    structure = inst.structure()
+    rows = inst.linear_rows()
+    X = structure.matrix_from_coords(
+        np.random.default_rng(0).normal(size=structure.n_coords))
+    assert np.max(np.abs(rows @ X.ravel())) < 1e-12
+    assert np.linalg.matrix_rank(rows) == inst.m * inst.n - structure.n_coords
+
+
+def test_linear_rows_of_dense_sections():
+    assert st.dense_instance(2, 3, 1, seed=4).linear_rows().shape == (0, 6)
+    inst = st.dense_instance(2, 3, 1, seed=4, s=2, section="affine")
+    assert np.array_equal(inst.linear_rows(),
+                          [c.coeff_array().ravel() for c in inst.constraints])
