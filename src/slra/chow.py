@@ -439,64 +439,51 @@ def _tensor_universal(p: int, q: int, d: int) -> tuple:
     """Degree-d part of c(A (x) B) as a polynomial in e_i(A-roots), e_j(B-roots).
 
     Returns ((ea, eb), coeff) pairs where ea[i-1] is the exponent of e_i of the
-    first root set (similarly eb).  Computed once per (p, q, d) by expanding
-    prod_{i,j} (1 + a_i + b_j) symbolically and peeling leading monomials.
+    first root set (similarly eb): the terms of c_d in _tensor_chern(p, q).
     """
-    avars = tuple(f"a{i}" for i in range(p))
-    bvars = tuple(f"b{j}" for j in range(q))
-    allvars = avars + bvars
-    one = ExactPoly.constant(1, allvars)
-    prod = one
-    for i in range(p):
-        for j in range(q):
-            factor = one + ExactPoly.variable(avars[i], allvars) \
-                         + ExactPoly.variable(bvars[j], allvars)
-            prod = prod.mul_truncated(factor, total_bound=d)
-    piece = ExactPoly(allvars, {e: c for e, c in prod.terms.items() if sum(e) == d})
-
-    elem_a = [_elementary(allvars, avars, k) for k in range(p + 1)]
-    elem_b = [_elementary(allvars, bvars, k) for k in range(q + 1)]
-
-    out = []
-    guard = 0
-    while not piece.is_zero():
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("symmetric decomposition failed to terminate")
-        lead = max(piece.terms)
-        coeff = piece.terms[lead]
-        alpha = lead[:p]
-        beta = lead[p:]
-        ea = tuple(alpha[i] - (alpha[i + 1] if i + 1 < p else 0) for i in range(p))
-        eb = tuple(beta[j] - (beta[j + 1] if j + 1 < q else 0) for j in range(q))
-        if any(x < 0 for x in ea + eb):
-            raise RuntimeError("non-symmetric polynomial in tensor expansion")
-        term = ExactPoly.constant(coeff, allvars)
-        for i, mult in enumerate(ea, start=1):
-            for _ in range(mult):
-                term = term.mul_truncated(elem_a[i], total_bound=d)
-        for j, mult in enumerate(eb, start=1):
-            for _ in range(mult):
-                term = term.mul_truncated(elem_b[j], total_bound=d)
-        piece = piece - term
-        out.append(((ea, eb), coeff))
-    return tuple(out)
+    return tuple(((e[:p], e[p:]), c) for e, c in _tensor_chern(p, q)[d].terms.items())
 
 
-def _elementary(allvars: tuple[str, ...], subset: tuple[str, ...], k: int) -> ExactPoly:
-    """Elementary symmetric polynomial e_k of a subset of the variables."""
-    from itertools import combinations
+@lru_cache(maxsize=None)
+def _tensor_chern(p: int, q: int) -> tuple[ExactPoly, ...]:
+    """c_0..c_pq(A (x) B) for ranks p, q, in Z[e_1..e_p, f_1..f_q].
 
-    if k == 0:
-        return ExactPoly.constant(1, allvars)
-    terms: dict[tuple[int, ...], int] = {}
-    idx = [allvars.index(v) for v in subset]
-    for combo in combinations(idx, k):
-        e = [0] * len(allvars)
-        for i in combo:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return ExactPoly(allvars, terms)
+    The variables are e_i = c_i(A) and f_j = c_j(B); the roots never appear.
+    Newton's identities give the power sums p_k(A), p_k(B); the Chern
+    character is multiplicative, so p_k(A (x) B) = sum_l binom(k, l)
+    p_l(A) p_(k-l)(B); and Newton's identities back give
+    k c_k = sum_i (-1)^(i-1) c_(k-i) p_i, an exact division by k.
+    """
+    names = (tuple(f"e{i}" for i in range(1, p + 1))
+             + tuple(f"f{j}" for j in range(1, q + 1)))
+    top = p * q
+    zero = ExactPoly(names)
+    pa = _power_sums(names, 0, p, top)
+    pb = _power_sums(names, p, q, top)
+    psum = [sum((comb(k, l) * pa[l] * pb[k - l] for l in range(k + 1)), zero)
+            for k in range(top + 1)]
+    chern = [ExactPoly.constant(1, names)]
+    for k in range(1, top + 1):
+        acc = sum(((-1) ** (i - 1) * chern[k - i] * psum[i] for i in range(1, k + 1)), zero)
+        if any(c % k for c in acc.terms.values()):
+            raise ArithmeticError(f"c_{k} of a tensor product is not integral")
+        chern.append(ExactPoly(names, {e: c // k for e, c in acc.terms.items()}))
+    return tuple(chern)
+
+
+def _power_sums(names: tuple[str, ...], offset: int, rank: int, top: int) -> list[ExactPoly]:
+    """p_0..p_top of `rank` roots with e_i = names[offset + i - 1], by Newton:
+    p_k = sum_(i<k) (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k."""
+    nvars = len(names)
+    elem = {i: ExactPoly(names, {tuple(int(j == offset + i - 1) for j in range(nvars)): 1})
+            for i in range(1, rank + 1)}
+    sums = [ExactPoly.constant(rank, names)]
+    for k in range(1, top + 1):
+        acc = (-1) ** (k - 1) * k * elem[k] if k <= rank else ExactPoly(names)
+        for i in range(1, min(k - 1, rank) + 1):
+            acc = acc + (-1) ** (i - 1) * elem[i] * sums[k - i]
+        sums.append(acc)
+    return sums
 
 
 def grassmannian_ring(r: int, m: int) -> ChowRing:

@@ -1,13 +1,13 @@
 """Closed-form ED degree calculators for low-rank matrix families.
 
-Everything here is exact integer combinatorics built on polyarith:
+Everything here is exact integer combinatorics, as finite binomial sums:
 
   * polar classes of the rank-one (Segre) variety via face volumes,
   * sectional ED degrees for rank 1 and corank 1 through polar-class duality,
   * the affine/linear shift for generic weights,
   * secant varieties of the rational normal curve (low-rank Hankel matrices):
-    binomial sum, generating function, and interpolated polynomials in the
-    ambient degree,
+    binomial sum, checked against its generating function, and interpolated
+    polynomials in the ambient degree,
   * the conjectural unit-weight correction for corank-one sections (exposed
     with "conjectured" naming on purpose: it reproduces every tabulated value
     but is not proved),
@@ -25,7 +25,11 @@ from functools import lru_cache
 from math import comb
 
 from . import chow
-from .polyarith import ExactPoly, RationalSeries, one_plus
+
+
+def _binom(n: int, k: int) -> int:
+    """binom(n, k) as the x^k coefficient of (1+x)^n: zero outside 0 <= k <= n."""
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -69,21 +73,13 @@ def segre_face_volumes(m: int, n: int) -> tuple[int, ...]:
     """V_k = coefficient of s^(m-1) t^(n-1) in (1+s)^m (1+t)^n (s+t)^k.
 
     Equivalently the summed normalized volumes of the k-faces of the product
-    of simplices Delta_(m-1) x Delta_(n-1).
+    of simplices Delta_(m-1) x Delta_(n-1).  Expanding (s+t)^k gives
+    V_k = sum_j binom(k, j) binom(m, m-1-j) binom(n, n-1-k+j).
     """
     m, n = _canon(m, n)
-    bounds = (m - 1, n - 1)
-    # work in the joint (s, t) ring with truncation above the target exponents
-    s_poly = one_plus("s")._remap(("s", "t"))
-    t_poly = one_plus("t")._remap(("s", "t"))
-    st = ExactPoly(("s", "t"), {(1, 0): 1, (0, 1): 1})
-    acc = s_poly.pow_truncated(m, bounds=bounds).mul_truncated(
-        t_poly.pow_truncated(n, bounds=bounds), bounds=bounds)
-    out = []
-    for _k in range(m + n - 1):
-        out.append(acc.coeff_of(s=m - 1, t=n - 1))
-        acc = acc.mul_truncated(st, bounds=bounds)
-    return tuple(out)
+    return tuple(sum(comb(k, j) * _binom(m, m - 1 - j) * _binom(n, n - 1 - k + j)
+                     for j in range(k + 1))
+                 for k in range(m + n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -139,15 +135,18 @@ def hankel_ed_generic(d: int, r: int) -> int:
         raise ValueError("rank exceeds Hankel format")
     value = sum(comb(d + 1 - r, i) * comb(d - r - i, r - i) * 2 ** (r - i)
                 for i in range(0, r + 1))
-    series = RationalSeries(
-        one_plus("z").pow_truncated(d + 1 - r, bounds=(r,)),
-        [(ExactPoly(("z",), {(0,): 1, (1,): -2}), d - 2 * r + 1)],
-    )
-    check = series.coeff({"z": r})
+    check = _hankel_series_coeff(d + 1 - r, d - 2 * r + 1, r)
     if check != value:
         raise AssertionError(
             f"binomial sum {value} disagrees with series coefficient {check}")
     return value
+
+
+def _hankel_series_coeff(a: int, b: int, r: int) -> int:
+    """z^r coefficient of (1+z)^a / (1-2z)^b, for b >= 1:
+    sum_i binom(a, i) binom(b-1+r-i, r-i) 2^(r-i)."""
+    return sum(_binom(a, i) * comb(b - 1 + r - i, r - i) * 2 ** (r - i)
+               for i in range(r + 1))
 
 
 @dataclass(frozen=True)
@@ -210,25 +209,20 @@ def hankel_ed_square_determinant(r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _unit_gap_degrees(m: int, n: int) -> tuple[int, ...]:
-    """W_j = coeff of t^(m-2) s^(n-2) in 4 (1+t)^m (1+s)^n (t+s)^j / ((1+2t)(1+2s))."""
+    """W_j = coeff of t^(m-2) s^(n-2) in 4 (1+t)^m (1+s)^n (t+s)^j / ((1+2t)(1+2s)).
+
+    Expanding (t+s)^j gives W_j = 4 sum_i binom(j, i) A(m, m-2-i) A(n, n-2-j+i)
+    with A(m, c) = sum_(a<=c) binom(m, c-a) (-2)^a, the t^c coefficient of
+    (1+t)^m / (1+2t) (zero for c < 0).
+    """
     m, n = _canon(m, n)
-    top = m + n - 4
-    orders = {"t": m - 2, "s": n - 2}
-    t1 = one_plus("t").pow_truncated(m, bounds=(m - 2,))
-    s1 = one_plus("s").pow_truncated(n, bounds=(n - 2,))
-    numerator = 4 * t1._remap(("s", "t")).mul_truncated(
-        s1._remap(("s", "t")), bounds=(n - 2, m - 2))
-    st = ExactPoly(("s", "t"), {(1, 0): 1, (0, 1): 1})
-    out = []
-    for j in range(top + 1):
-        series = RationalSeries(
-            numerator,
-            [(ExactPoly(("t",), {(0,): 1, (1,): 2}), 1),
-             (ExactPoly(("s",), {(0,): 1, (1,): 2}), 1)],
-        )
-        out.append(series.coeff(orders))
-        numerator = numerator.mul_truncated(st, bounds=(n - 2, m - 2))
-    return tuple(out)
+
+    def a_coeff(size: int, c: int) -> int:
+        return sum(_binom(size, c - a) * (-2) ** a for a in range(c + 1))
+
+    return tuple(4 * sum(comb(j, i) * a_coeff(m, m - 2 - i) * a_coeff(n, n - 2 - j + i)
+                         for i in range(j + 1))
+                 for j in range(m + n - 3))
 
 
 def corank1_unit_gap(m: int, n: int, s: int) -> int:

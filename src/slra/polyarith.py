@@ -1,33 +1,19 @@
-"""Exact sparse polynomial and truncated power series arithmetic.
+"""Exact sparse multivariate polynomials over the integers.
 
 Coefficients are Python ints, so all arithmetic is arbitrary precision; the
-closed-form degree counts computed on top of this module overflow 64 bits
-already for moderate formats.  Polynomials are stored sparsely as a map from
-exponent tuples to coefficients, keyed against an ordered variable list.
-
-Two kinds of objects live here:
-
-  ExactPoly       multivariate polynomial over the integers
-  RationalSeries  numerator / product of denominator factors, expanded as a
-                  truncated power series (each factor must be invertible at
-                  the origin)
+Chern-class polynomials built on top of this module overflow 64 bits already
+for moderate formats.  A polynomial is stored sparsely as a map from exponent
+tuples to coefficients, keyed against an ordered variable list; both operands
+of a sum or product must use the same variable list.
 
 Everything is a plain value: no mutation after construction, safe to share.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
-
-
-def _merge_variables(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    """Canonical variable list for mixed-variable arithmetic (sorted union)."""
-    if tuple(a) == tuple(b):
-        return tuple(a)
-    return tuple(sorted(set(a) | set(b)))
 
 
 class ExactPoly:
@@ -47,56 +33,35 @@ class ExactPoly:
                     clean[tuple(exps)] = int(coeff)
         self.terms: dict[Exponent, int] = clean
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def constant(cls, value: int, variables: Sequence[str] = ()) -> "ExactPoly":
         if value == 0:
             return cls(variables, {})
         return cls(variables, {(0,) * len(tuple(variables)): value})
 
-    @classmethod
-    def variable(cls, name: str, variables: Sequence[str] | None = None) -> "ExactPoly":
-        vs = (name,) if variables is None else tuple(variables)
-        exps = tuple(1 if v == name else 0 for v in vs)
-        if name not in vs:
-            raise ValueError(f"{name!r} not among variables {vs}")
-        return cls(vs, {exps: 1})
-
-    def _remap(self, variables: tuple[str, ...]) -> "ExactPoly":
-        if variables == self.variables:
-            return self
-        pos = [variables.index(v) for v in self.variables]
-        out: dict[Exponent, int] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for p, e in zip(pos, exps):
-                new[p] = e
-            out[tuple(new)] = coeff
-        return ExactPoly(variables, out)
-
-    def _coerce(self, other) -> tuple["ExactPoly", "ExactPoly"]:
+    def _coerce(self, other) -> "ExactPoly":
         if isinstance(other, int):
-            other = ExactPoly.constant(other, self.variables)
+            return ExactPoly.constant(other, self.variables)
         if not isinstance(other, ExactPoly):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        vs = _merge_variables(self.variables, other.variables)
-        return self._remap(vs), other._remap(vs)
+            return NotImplemented
+        if other.variables != self.variables:
+            raise ValueError(f"variables {other.variables} differ from {self.variables}")
+        return other
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "ExactPoly":
-        a, b = self._coerce(other)
-        if a is NotImplemented:
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
             c = out.get(exps, 0) + coeff
             if c:
                 out[exps] = c
             else:
                 out.pop(exps, None)
-        return ExactPoly(a.variables, out)
+        return ExactPoly(self.variables, out)
 
     __radd__ = __add__
 
@@ -106,28 +71,19 @@ class ExactPoly:
     def __sub__(self, other) -> "ExactPoly":
         return self + (-other if isinstance(other, ExactPoly) else -int(other))
 
-    def __rsub__(self, other) -> "ExactPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "ExactPoly":
-        a, b = self._coerce(other)
-        if a is NotImplemented:
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return a._mul(b, None, None)
+        return self._mul(other)
 
     __rmul__ = __mul__
 
-    def _mul(self, other: "ExactPoly", bounds: Sequence[int] | None,
-             total_bound: int | None) -> "ExactPoly":
-        """Product, optionally truncating per-variable or total degree."""
+    def _mul(self, other: "ExactPoly") -> "ExactPoly":
         out: dict[Exponent, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(x + y for x, y in zip(e1, e2))
-                if bounds is not None and any(e > b for e, b in zip(exps, bounds)):
-                    continue
-                if total_bound is not None and sum(exps) > total_bound:
-                    continue
                 c = out.get(exps, 0) + c1 * c2
                 if c:
                     out[exps] = c
@@ -135,38 +91,19 @@ class ExactPoly:
                     del out[exps]
         return ExactPoly(self.variables, out)
 
-    def mul_truncated(self, other: "ExactPoly", bounds: Sequence[int] | None = None,
-                      total_bound: int | None = None) -> "ExactPoly":
-        a, b = self._coerce(other)
-        return a._mul(b, bounds, total_bound)
-
     def __pow__(self, n: int) -> "ExactPoly":
-        return self.pow_truncated(n)
-
-    def pow_truncated(self, n: int, bounds: Sequence[int] | None = None,
-                      total_bound: int | None = None) -> "ExactPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = ExactPoly.constant(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result._mul(base, bounds, total_bound)
-            n >>= 1
-            if n:
-                base = base._mul(base, bounds, total_bound)
+        for _ in range(n):
+            result = result._mul(self)
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ExactPoly.constant(other, self.variables)
-        if not isinstance(other, ExactPoly):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = self._coerce(other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return self.terms == other.terms
 
     # -- queries -----------------------------------------------------------
 
@@ -177,33 +114,8 @@ class ExactPoly:
             raise ValueError("exponent vector length mismatch")
         return self.terms.get(exps, 0)
 
-    def coeff_of(self, **powers: int) -> int:
-        """Coefficient lookup by variable name, e.g. ``p.coeff_of(s=2, t=2)``."""
-        exps = tuple(powers.get(v, 0) for v in self.variables)
-        extra = set(powers) - set(self.variables)
-        if extra:
-            return 0
-        return self.terms.get(exps, 0)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self, var: str | None = None) -> int:
-        """Total degree, or the degree in one variable; zero poly has degree -1."""
-        if not self.terms:
-            return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        i = self.variables.index(var)
-        return max(e[i] for e in self.terms)
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.variables), 0)
-
-    def truncate(self, bounds: Sequence[int]) -> "ExactPoly":
-        out = {e: c for e, c in self.terms.items()
-               if all(x <= b for x, b in zip(e, bounds))}
-        return ExactPoly(self.variables, out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -215,115 +127,3 @@ class ExactPoly:
             c = self.terms[exps]
             bits.append(f"{c}{'*' + mono if mono else ''}")
         return " + ".join(bits)
-
-
-def one_plus(name: str) -> ExactPoly:
-    """The polynomial 1 + <variable>, the workhorse of the face-volume formulas."""
-    return ExactPoly((name,), {(0,): 1, (1,): 1})
-
-
-class RationalSeries:
-    """numerator / prod(factor^power), expanded as a truncated power series.
-
-    Each denominator factor must have a nonzero constant term so that it is
-    invertible as a formal power series.  Expansion is exact: internally the
-    coefficients are Fractions, and the result is converted back to integers
-    (all the generating functions used here have integral expansions).
-    """
-
-    def __init__(self, numerator: ExactPoly,
-                 denominator: Iterable[tuple[ExactPoly, int]] = (),
-                 order: Mapping[str, int] | int | None = None):
-        self.numerator = numerator
-        self.denominator = [(f, int(p)) for f, p in denominator]
-        for f, p in self.denominator:
-            if p <= 0:
-                raise ValueError("denominator powers must be positive")
-        self.order = order
-
-    def _orders(self, variables: tuple[str, ...], order) -> dict[str, int]:
-        if order is None:
-            order = self.order
-        if order is None:
-            raise ValueError("a truncation order is required")
-        if isinstance(order, int):
-            return {v: order for v in variables}
-        return {v: int(order.get(v, 0)) for v in variables}
-
-    def expand(self, order: Mapping[str, int] | int | None = None) -> ExactPoly:
-        """Truncated series expansion; exact up to the truncation order."""
-        variables = self.numerator.variables
-        for f, _ in self.denominator:
-            variables = _merge_variables(variables, f.variables)
-        orders = self._orders(variables, order)
-        bounds = tuple(orders[v] for v in variables)
-
-        acc: dict[Exponent, Fraction] = {
-            e: Fraction(c) for e, c in self.numerator._remap(variables).terms.items()
-            if all(x <= b for x, b in zip(e, bounds))
-        }
-        for factor, power in self.denominator:
-            factor = factor._remap(variables)
-            c0 = factor.constant_term()
-            if c0 == 0:
-                raise ValueError("denominator vanishes at origin")
-            # factor = c0 * (1 - g) with g of positive valuation;
-            # 1/factor^p = c0^-p * sum binom(p-1+k, k) g^k
-            g_terms = {e: Fraction(-c, c0) for e, c in factor.terms.items() if any(e)}
-            inv = _geometric_series(g_terms, power, bounds, len(variables))
-            acc = _fmul(acc, inv, bounds)
-            acc = {e: c / (Fraction(c0) ** power) for e, c in acc.items() if c}
-
-        out: dict[Exponent, int] = {}
-        for e, c in acc.items():
-            if c == 0:
-                continue
-            if c.denominator != 1:
-                raise ValueError("series expansion has non-integer coefficients")
-            out[e] = c.numerator
-        return ExactPoly(variables, out)
-
-    def coeff(self, order: Mapping[str, int]) -> int:
-        """Exact coefficient of the given multi-exponent of the expansion."""
-        expanded = self.expand(order)
-        return expanded.coeff_of(**dict(order))
-
-
-def _fmul(a: dict[Exponent, Fraction], b: dict[Exponent, Fraction],
-          bounds: tuple[int, ...]) -> dict[Exponent, Fraction]:
-    out: dict[Exponent, Fraction] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            if any(e > bb for e, bb in zip(exps, bounds)):
-                continue
-            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _geometric_series(g: dict[Exponent, Fraction], power: int,
-                      bounds: tuple[int, ...], nvars: int) -> dict[Exponent, Fraction]:
-    """sum_k binom(power-1+k, k) g^k, truncated to the exponent bounds."""
-    from math import comb
-
-    one = {(0,) * nvars: Fraction(1)}
-    if not g:
-        return one
-    out = dict(one)
-    gk = dict(one)
-    kmax = sum(bounds)
-    for k in range(1, kmax + 1):
-        gk = _fmul(gk, g, bounds)
-        if not gk:
-            break
-        w = comb(power - 1 + k, k)
-        for e, c in gk.items():
-            out[e] = out.get(e, Fraction(0)) + w * c
-    return {e: c for e, c in out.items() if c}
-
-
-def series_coeff(f: RationalSeries, variable: str, k: int) -> int:
-    """Exact coefficient of variable^k in a univariate rational series."""
-    if k < 0:
-        raise ValueError("negative series index")
-    return f.coeff({variable: k})

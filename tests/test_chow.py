@@ -7,6 +7,9 @@ e_i(all roots) = 0, under which every class whose partition leaves the
 r x (m-r) box is zero.  It is deliberately independent of the engine.
 """
 
+import math
+import random
+
 import pytest
 
 from slra import chow
@@ -115,6 +118,35 @@ def test_gr24_degree():
     assert schur_expand(prod, 2).get((2, 2)) == 2
 
 
+# -- tensor products -----------------------------------------------------------
+
+def elementary_values(roots) -> list[int]:
+    """e_0..e_k of k integers, as the coefficients of prod (1 + root * t)."""
+    out = [1]
+    for x in roots:
+        out = [a + x * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(2, 7) for q in range(2, 7)
+                                 if p + q <= 8])
+def test_tensor_universal_on_integer_roots(p, q):
+    # c_d(A (x) B) evaluated at integer Chern roots is e_d of the pairwise
+    # sums a_i + b_j; nothing is expanded symbolically on this side
+    rng = random.Random(100 * p + q)
+    for _ in range(3):
+        a = [rng.randint(-4, 4) for _ in range(p)]
+        b = [rng.randint(-4, 4) for _ in range(q)]
+        ea_vals, eb_vals = elementary_values(a), elementary_values(b)
+        want = elementary_values([x + y for x in a for y in b])
+        for d in range(p * q + 1):
+            got = sum(coeff
+                      * math.prod(ea_vals[i] ** k for i, k in enumerate(ea, start=1))
+                      * math.prod(eb_vals[j] ** k for j, k in enumerate(eb, start=1))
+                      for (ea, eb), coeff in chow._tensor_universal(p, q, d))
+            assert got == want[d], (a, b, d)
+
+
 # -- projective bundle --------------------------------------------------------
 
 def test_projective_space_relation():
@@ -176,6 +208,15 @@ def test_ed_generic_sequences():
         [1350, 1350, 1350, 1350, 1330, 1250, 1074, 818, 532, 276, 100, 20]
     assert chow.ed_generic_determinantal(3, 4, 2, 6) == 73
     assert chow.ed_generic_determinantal(3, 5, 2, 11) == 10
+
+
+def test_ed_generic_8x8():
+    # ED duality pairs rank r with rank n - r on square formats
+    assert chow.ed_generic_determinantal(8, 8, 3) == 880266758984
+    assert chow.ed_generic_determinantal(8, 8, 5) == 880266758984
+    assert chow.ed_generic_determinantal(8, 8, 3, 10) == 880266533192
+    assert chow.ed_generic_determinantal(8, 8, 3, 30) == 77169361944
+    assert chow.ed_generic_determinantal(8, 8, 5, 50) == 50244768
 
 
 def test_ed_symmetry_in_format():

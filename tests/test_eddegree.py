@@ -18,6 +18,11 @@ def test_face_volumes():
     assert segre_face_volumes(1, 1) == (1,)
 
 
+def test_face_volumes_non_square():
+    assert segre_face_volumes(5, 7) == (35, 175, 665, 1890, 4032, 6440, 7600,
+                                        6440, 3710, 1302, 210)
+
+
 def test_polar_classes():
     pc = segre_polar_classes(3, 3)
     assert pc.deltas == (3, 6, 12, 12, 6)
@@ -112,6 +117,12 @@ def test_unit_gap_values():
     assert [corank1_unit_gap(3, 3, s) for s in range(4)] == [36, 24, 8, 0]
     assert conjectured_corank1_unit(3, 3, 0) == 3
     assert conjectured_corank1_unit(2, 2, 0) == 2
+
+
+def test_unit_gap_values_non_square():
+    assert [corank1_unit_gap(3, 4, s) for s in range(4)] == [80, 68, 40, 12]
+    assert [corank1_unit_gap(4, 6, s) for s in range(7)] == \
+        [1320, 1296, 1208, 992, 644, 280, 60]
 
 
 UNIT_LINEAR_COLUMNS = {

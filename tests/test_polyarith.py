@@ -2,86 +2,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from slra.polyarith import ExactPoly, RationalSeries, one_plus, series_coeff
+from slra.eddegree import _hankel_series_coeff, _unit_gap_degrees
+from slra.polyarith import ExactPoly
+
+ST = ("s", "t")
+S = ExactPoly(ST, {(1, 0): 1})
+T = ExactPoly(ST, {(0, 1): 1})
 
 
 def test_product_of_binomials():
-    p = one_plus("s") * one_plus("t")
-    assert p.coeff_of() == 1
-    assert p.coeff_of(s=1) == 1
-    assert p.coeff_of(t=1) == 1
-    assert p.coeff_of(s=1, t=1) == 1
+    p = (1 + S) * (1 + T)
+    assert p.coeff((0, 0)) == 1
+    assert p.coeff((1, 0)) == 1
+    assert p.coeff((0, 1)) == 1
+    assert p.coeff((1, 1)) == 1
     assert len(p.terms) == 4
 
 
 def test_square_of_sum():
-    st = ExactPoly.variable("s", ("s", "t")) + ExactPoly.variable("t", ("s", "t"))
-    sq = st ** 2
-    assert sq.coeff_of(s=2) == 1
-    assert sq.coeff_of(s=1, t=1) == 2
-    assert sq.coeff_of(t=2) == 1
+    sq = (S + T) ** 2
+    assert sq.coeff((2, 0)) == 1
+    assert sq.coeff((1, 1)) == 2
+    assert sq.coeff((0, 2)) == 1
 
 
 def test_face_volume_coefficient_2x2():
-    p = one_plus("s") ** 2 * one_plus("t") ** 2
-    assert p.coeff_of(s=1, t=1) == 4
+    p = (1 + S) ** 2 * (1 + T) ** 2
+    assert p.coeff((1, 1)) == 4
 
 
 def test_coeff_of_segre_polys():
-    base = one_plus("s") ** 3 * one_plus("t") ** 3
-    assert base.coeff_of(s=2, t=2) == 9
-    st = ExactPoly.variable("s", ("s", "t")) + ExactPoly.variable("t", ("s", "t"))
-    assert (base * st ** 4).coeff_of(s=2, t=2) == 6
+    base = (1 + S) ** 3 * (1 + T) ** 3
+    assert base.coeff((2, 2)) == 9
+    assert (base * (S + T) ** 4).coeff((2, 2)) == 6
 
 
 def test_coeff_of_zero_poly():
-    zero = ExactPoly.constant(0, ("s", "t"))
+    zero = ExactPoly.constant(0, ST)
     assert zero.coeff((3, 1)) == 0
 
 
 def test_coeff_length_mismatch():
-    p = one_plus("s")
+    p = ExactPoly(("s",), {(0,): 1, (1,): 1})
     with pytest.raises(ValueError):
         p.coeff((1, 2))
 
 
+def test_mixed_variables_rejected():
+    with pytest.raises(ValueError, match="differ"):
+        ExactPoly(("s",), {(1,): 1}) + ExactPoly(("t",), {(1,): 1})
+
+
+# Generating-function coefficients behind the degree formulas, which eddegree
+# evaluates as finite binomial sums.
+
 def test_series_coeff_univariate():
-    f = RationalSeries(one_plus("z") ** 4,
-                       [(ExactPoly(("z",), {(0,): 1, (1,): -2}), 3)])
-    assert series_coeff(f, "z", 1) == 10
-    assert series_coeff(f, "z", 0) == 1
+    # (1+z)^4 / (1-2z)^3
+    assert _hankel_series_coeff(4, 3, 1) == 10
+    assert _hankel_series_coeff(4, 3, 0) == 1
 
 
 def test_series_coeff_bivariate():
-    num = 4 * (one_plus("t") ** 2)._remap(("s", "t")) \
-        * (one_plus("s") ** 2)._remap(("s", "t"))
-    f = RationalSeries(num, [
-        (ExactPoly(("t",), {(0,): 1, (1,): 2}), 1),
-        (ExactPoly(("s",), {(0,): 1, (1,): 2}), 1),
-    ])
-    assert f.coeff({"s": 0, "t": 0}) == 4
-
-
-def test_series_denominator_vanishes():
-    f = RationalSeries(one_plus("z"),
-                       [(ExactPoly(("z",), {(1,): 1}), 1)])
-    with pytest.raises(ValueError, match="denominator vanishes at origin"):
-        f.expand({"z": 3})
-
-
-def test_series_of_polynomial_equals_coeff():
-    p = one_plus("z") ** 5
-    f = RationalSeries(p)
-    for k in range(6):
-        assert series_coeff(f, "z", k) == p.coeff((k,))
+    # constant term of 4 (1+t)^2 (1+s)^2 / ((1+2t)(1+2s))
+    assert _unit_gap_degrees(2, 2)[0] == 4
 
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_rank_one_closed_form(d):
     # z-coefficient 1 of (1+z)^d / (1-2z)^(d-1) is 3d - 2
-    f = RationalSeries(one_plus("z") ** d,
-                       [(ExactPoly(("z",), {(0,): 1, (1,): -2}), d - 1)])
-    assert series_coeff(f, "z", 1) == 3 * d - 2
+    assert _hankel_series_coeff(d, d - 1, 1) == 3 * d - 2
 
 
 small_polys = st_.builds(
