@@ -416,13 +416,13 @@ def reproduce_catalecticant_count(seed: int, results: list) -> bool:
     return ok
 
 
-SLOW_REPRODUCTIONS = {"example36", "catalecticant-count"}
+SLOW_REPRODUCTIONS = {"catalecticant-count"}
 
 
 def cmd_reproduce(args) -> int:
     name = args.name
     if name in SLOW_REPRODUCTIONS and not args.allow_slow:
-        print(f"reproduction {name!r} tracks tens of thousands of paths; "
+        print(f"reproduction {name!r} tracks about 240,000 paths; "
               "pass --allow-slow to run it", file=sys.stderr)
         return 1
     seed = args.seed if args.seed is not None else 1

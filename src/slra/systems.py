@@ -2,9 +2,10 @@
 
 Each builder returns a PolySystem: sparse complex-coefficient equations over
 named variables, plus the metadata the solver needs (variable group labels
-for multihomogeneous starts, the chart map back to a matrix, degenerate-locus
-predicates, a symmetry fold, and the scalar potential whose gradient the
-equations realize, used by the finite-difference tests).
+for multihomogeneous starts, the chart map back to a matrix and, for the
+normal-space charts, its inverse ``lift``, degenerate-locus predicates, a
+symmetry fold, and the scalar potential whose gradient the equations
+realize, used by the finite-difference tests).
 
 Formulations:
 
@@ -171,6 +172,9 @@ class PolySystem:
     # squaring-up must randomize inside this block, or the squared Jacobian
     # degenerates at every solution
     merge_block: tuple[int, ...] | None = None
+    # inverse chart map of the normal-space charts: batches (X, N) of rank-r
+    # matrices and normal vectors -> chart coordinates
+    lift: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.equations) < len(self.variables):
@@ -566,6 +570,23 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
         sv = np.linalg.svd(X, compute_uv=False)
         return bool(sv[r - 1] < tol * max(sv[0], data_scale))
 
+    C = _constraint_arrays(instance)[0].reshape(s, m * n)
+    ML_inv, MR_inv = np.linalg.inv(ML), np.linalg.inv(MR)
+
+    def lift(X, N):
+        # the kernels of X, normalised to this chart: ML^-1 Y = [I; y] and
+        # MR^-1 Z = [I; z]; then the multipliers of N = Y W Z^t + sum w_q C_q
+        k = X.shape[0]
+        Y = _kernel(np.swapaxes(X, 1, 2), a)
+        Z = _kernel(X, b)
+        Y = Y @ np.linalg.inv((ML_inv @ Y)[:, :a])
+        Z = Z @ np.linalg.inv((MR_inv @ Z)[:, :b])
+        G = np.einsum("kiy,kjz->kijzy", Y, Z).reshape(k, m * n, a * b)
+        G = np.concatenate([G, np.broadcast_to(C.T, (k, m * n, s))], axis=2)
+        w = (np.linalg.pinv(G) @ N.reshape(k, m * n, 1))[..., 0]
+        return np.concatenate([X.reshape(k, -1), (ML_inv @ Y)[:, a:].reshape(k, -1),
+                               (MR_inv @ Z)[:, b:].reshape(k, -1), w], axis=1)
+
     # (Y^t X) Z = Y^t (X Z) identically: the a*b syzygies live in the
     # bilinear block, whose equations must absorb the squaring reduction
     bilinear = tuple(range(a * n + m * b))
@@ -576,8 +597,56 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
         instance=instance, degenerate=degen,
         potential=potential, grad_map=grad_map,
         chart_tag="default" if left_mix is None and right_mix is None else "mixed",
-        merge_block=bilinear,
+        merge_block=bilinear, lift=lift,
     )
+
+
+def _kernel(M: np.ndarray, k: int) -> np.ndarray:
+    """(K, q, k) bases of the right null spaces of a stack of rank-deficient
+    (K, p, q) matrices: v with M v = 0, no conjugation."""
+    return np.swapaxes(np.linalg.svd(M)[2][:, M.shape[2] - k:].conj(), 1, 2)
+
+
+def _constraint_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The section as (s, m, n) coefficient grids and (s,) constants."""
+    s, m, n = len(instance.constraints), instance.m, instance.n
+    return (np.array([c.coeff_array() for c in instance.constraints]).reshape(s, m, n),
+            np.array([float(c.constant) for c in instance.constraints]))
+
+
+def normal_space_seeds(instance: Instance, k: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k random critical pairs (X, N) for the linear inverse of the problem.
+
+    X = A B has rank r and lies on the section (least-norm correction of B,
+    exact when s <= r n); N = Y W Z^t + sum w_q C_q is a random vector of
+    the normal space at X.
+    X is then a critical point for the data X + N / Lam, with multipliers
+    read off N by the chart's ``lift``.  Both are scaled to the mean |U|.
+    """
+    m, n, r = instance.m, instance.n, instance.r
+    C, const = _constraint_arrays(instance)
+    s = len(const)
+    Lam = instance.weights.as_array()
+    scale = float(np.mean(np.abs(instance.data_array()))) or 1.0
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    A = cnormal(k, m, r)
+    B = cnormal(k, r, n) * (scale / np.sqrt(2.0 * r))
+    if s:
+        # sum_ij C_qij (A B)_ij = sum_lj (A^t C_q)_lj B_lj is linear in B
+        M = np.einsum("kil,qij->kqlj", A, C).reshape(k, s, r * n)
+        gap = -const[None, :, None] - M @ B.reshape(k, r * n, 1)
+        B = B + (np.linalg.pinv(M) @ gap).reshape(k, r, n)
+    X = A @ B
+    Y = _kernel(np.swapaxes(X, 1, 2), m - r)
+    Z = _kernel(X, n - r)
+    N = (Y @ cnormal(k, m - r, n - r) @ np.swapaxes(Z, 1, 2)
+         + np.einsum("kq,qij->kij", cnormal(k, s), C))
+    N *= scale / np.mean(np.abs(N / Lam), axis=(1, 2), keepdims=True)
+    return X, N
 
 
 def hankel_rank1(n: int, weights: WeightMatrix, data: Sequence[float]) -> PolySystem:

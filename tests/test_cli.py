@@ -158,7 +158,7 @@ def test_solve_report_determinism(tmp_path, capsys):
 
 
 def test_reproduce_gating(capsys):
-    code, _, err = run_cli(["reproduce", "example36"], capsys)
+    code, _, err = run_cli(["reproduce", "catalecticant-count"], capsys)
     assert code == 1
     assert "--allow-slow" in err
 

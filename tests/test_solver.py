@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,49 @@ def test_monomial_values_match_power_products(dtype):
     assert np.array_equal(mv, _monomial_values_by_variable(compiled, x))
 
 
+def test_compiled_system_on_an_empty_batch():
+    eqs = [CPoly(2, {(2, 1): 1.0, (0, 0): -3.0}), CPoly(2, {(0, 1): 2.0})]
+    compiled = sv.CompiledSystem(eqs, 2)
+    x = np.zeros((0, 2), dtype=complex)
+    assert compiled.monomial_values(x).shape == (compiled.nm, 0)
+    assert compiled.eval(x).shape == (0, 2)
+    assert compiled.jac(x).shape == (0, 2, 2)
+    fv, fj = compiled.eval_and_jac(x)
+    assert fv.shape == (0, 2) and fj.shape == (0, 2, 2)
+    hom = sv.Homotopy(compiled, sv.PowerStart([3, 1], np.ones(2)), 1j)
+    status, endp = sv.track_batch(hom, x, sv.TrackerConfig())
+    assert status.shape == (0,) and endp.shape == (0, 2)
+
+
+def _polish_by_coefficient_loop(system, compiled, points):
+    # reference: the extended-precision residual summed one coefficient at a time
+    xc = points.astype(np.clongdouble)
+    for _ in range(3):
+        mv = compiled.monomial_values(xc)
+        fv = np.zeros((xc.shape[0], compiled.neqs), dtype=np.clongdouble)
+        cf = compiled._cf.tocoo()
+        for r, c, v in zip(cf.row, cf.col, cf.data):
+            fv[:, c] += v * mv[r]
+        fj = compiled.jac(xc.astype(complex))
+        jh = np.conj(np.transpose(fj, (0, 2, 1)))
+        delta, _ = sv._batched_solve(jh @ fj, -(jh @ fv.astype(complex)[..., None])[..., 0])
+        xc = xc + np.where(np.isfinite(delta), delta, 0.0).astype(np.clongdouble)
+    return xc.astype(complex)
+
+
+def test_polish_extended_matches_the_coefficient_loop():
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    system = sy.normal_space(inst)
+    assert system.overdetermined
+    compiled = sv.CompiledSystem(system.equations, system.n_vars)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
+    rng = np.random.default_rng(4)
+    pts = np.array([p.coords for p in ss.points])
+    pts = pts + 1e-7 * (rng.normal(size=pts.shape) + 1j * rng.normal(size=pts.shape))
+    assert np.array_equal(sv._polish_extended(system, compiled, pts),
+                          _polish_by_coefficient_loop(system, compiled, pts))
+
+
 def test_start_point_count_matches_bound():
     rey = st.load_dataset("rey")
     system = sy.dual_rank1(rey.data_array(), rey.weights.as_array())
@@ -264,13 +309,15 @@ def test_reconcile_report():
     assert "suggestion" in mismatch
 
 
-def test_normal_space_excludes_the_cone_point():
+@pytest.mark.parametrize("start_kind", ["auto", "mh"])
+def test_normal_space_excludes_the_cone_point(start_kind):
     # X = 0 lies on every linear section and on the rank <= 1 cone; for r = 1
     # the singular-value ratio cannot see it, so the filter needs a scale
     inst = st.dense_instance(2, 3, 1, seed=877150602, s=2)
     system = sy.normal_space(inst)
     assert system.degenerate(None, np.zeros((2, 3)), 1e-8)
-    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=877150602, charts=1))
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=877150602, charts=1,
+                                                   start_kind=start_kind))
     assert ss.predicted == 7
     assert ss.n_complex == 7
     assert all(np.max(np.abs(p.X)) > 1e-3 for p in ss.points)
@@ -322,6 +369,82 @@ def test_cross_formulation_agreement():
             dist = min(np.max(np.abs(X - X2)) / (1.0 + np.max(np.abs(X)))
                        for X2 in as_set(other.points))
             assert dist < 1e-6
+
+
+# -- seeded normal-space solves ------------------------------------------------
+
+def test_lift_inverts_the_chart():
+    # a seed (X, N) lifts to coordinates that solve the system at the data
+    # X + N / Lam: the data enter only the Lagrange rows, as Lam (U - V)
+    inst = st.dense_instance(3, 4, 2, seed=5, s=2, section="affine")
+    U, Lam = inst.data_array(), inst.weights.as_array()
+    X, N = sy.normal_space_seeds(inst, 4, np.random.default_rng(1))
+    assert (np.linalg.matrix_rank(X, tol=1e-8) == 2).all()
+    for mix in (None, np.roll(np.eye(3), 1, axis=0) * 1j):
+        system = sy.normal_space(inst, left_mix=mix,
+                                 right_mix=None if mix is None else np.eye(4)[::-1])
+        x0 = system.lift(X, N)
+        fv = sv.CompiledSystem(system.equations, system.n_vars).eval(x0)
+        fv[:, -12:] -= (Lam * (X + N / Lam - U)).reshape(4, 12)
+        assert np.max(np.abs(fv)) < 1e-9 * (1.0 + np.max(np.abs(x0)))
+        assert np.allclose(system.reconstruct(x0[0]), X[0])
+
+
+def _same_points(a, b):
+    return a.n_complex == b.n_complex and all(
+        min(np.max(np.abs(p.X - q.X)) / (1.0 + np.max(np.abs(p.X))) for q in b.points) < 1e-6
+        for p in a.points)
+
+
+# the multihomogeneous oracle for 3x4 r=1 s=3 tracks 8008 paths (minutes)
+SLOW_ORACLE = [pytest.mark.slow, pytest.mark.skipif(
+    os.environ.get("ED_SLRA_ALLOW_SLOW", "") != "1",
+    reason="gated behind ED_SLRA_ALLOW_SLOW=1")]
+
+
+@pytest.mark.parametrize("m, n, r, s, seed, charts", [
+    (3, 3, 2, 0, 55, 1), (2, 3, 1, 2, 6, 1), (2, 3, 1, 1, 3, 2),
+    pytest.param(3, 4, 1, 3, 5, 1, marks=SLOW_ORACLE),
+])
+def test_seeded_points_equal_the_start_system_points(m, n, r, s, seed, charts):
+    inst = st.dense_instance(m, n, r, seed=seed, s=s)
+    seeded = sv.solve(inst, "normal", sv.TrackerConfig(seed=seed, charts=charts))
+    mh = sv.solve(inst, "normal", sv.TrackerConfig(seed=seed, charts=charts,
+                                                    start_kind="mh"))
+    assert seeded.stats.start_kind == "seeded"
+    assert mh.stats.start_kind.startswith("mh:")
+    assert seeded.n_complex == seeded.predicted == mh.n_complex
+    assert _same_points(seeded, mh)
+    assert seeded.stats.n_paths < mh.stats.n_paths
+    assert [p.classification for p in seeded.points] == \
+        [p.classification for p in mh.points]
+
+
+def test_seeded_solve_falls_back_to_the_start_system(monkeypatch):
+    # a count the fibre cannot reach stalls the loops; the start system then
+    # finds what there is
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    cfg = sv.TrackerConfig(seed=6, charts=1)
+    mh = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1, start_kind="mh"))
+    predict = sv._predict
+    monkeypatch.setattr(sv, "_predict",
+                        lambda instance: (predict(instance)[0] + 1, "generic ED degree"))
+    ss = sv.solve(inst, "normal", cfg)
+    assert ss.stats.start_kind == "seeded>" + mh.stats.start_kind
+    assert ss.n_complex == mh.n_complex == 7 and ss.predicted == 8
+    assert ss.stats.n_paths > mh.stats.n_paths
+    assert ss.stats.consistent()
+    assert _same_points(ss, mh)
+
+
+def test_seeded_solve_repeats_exactly():
+    inst = st.dense_instance(3, 3, 1, seed=12345, s=1)
+
+    def run():
+        ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=3, charts=1))
+        return vars(ss.stats), [np.round(p.X, 8).tolist() for p in ss.points]
+
+    assert run() == run()
 
 
 # -- second-order classification ----------------------------------------------
