@@ -543,11 +543,6 @@ def determinantal_desingularization(m: int, n: int, r: int) -> Desingularization
     return Desingularization(ring, tangent, zeta, ring.dim)
 
 
-def tangent_chern(m: int, n: int, r: int) -> BundleExpr:
-    """Total Chern class of the desingularization P(S^n) of the rank <= r locus."""
-    return determinantal_desingularization(m, n, r).tangent
-
-
 @lru_cache(maxsize=None)
 def sectional_integrals(m: int, n: int, r: int) -> tuple[int, ...]:
     """I_j = integral of c_{d-j}(T) * zeta^j over the desingularization, j = 0..d.

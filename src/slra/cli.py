@@ -198,19 +198,18 @@ def _report_points(solution_set: solver.SolutionSet) -> list[dict]:
     return out
 
 
-def run_report(command: str, seed: int, cfg: solver.TrackerConfig,
-               solution_set: solver.SolutionSet, wall_ms: float,
-               expected: int | None) -> dict:
+def run_report(command: str, seed: int, solution_set: solver.SolutionSet,
+               wall_ms: float) -> dict:
     stats = solution_set.stats
     return {
         "command": command,
         "seed": seed,
         "config": {
-            "track_tol": cfg.track_tol, "newton_tol": cfg.newton_tol,
-            "dedup_tol": cfg.dedup_tol, "real_tol": cfg.real_tol,
-            "min_step": cfg.min_step, "max_step": cfg.max_step,
-            "max_steps": cfg.max_steps, "start_kind": stats.start_kind,
-            "seed": cfg.seed, "charts": stats.charts,
+            "track_tol": solver.TRACK_TOL, "newton_tol": solver.NEWTON_TOL,
+            "dedup_tol": solver.DEDUP_TOL, "real_tol": solver.REAL_TOL,
+            "min_step": solver.MIN_STEP, "max_step": solver.MAX_STEP,
+            "max_steps": solver.MAX_STEPS, "start_kind": stats.start_kind,
+            "seed": seed, "charts": stats.charts,
         },
         "n_paths": stats.n_paths,
         "n_converged": stats.n_converged,
@@ -225,15 +224,6 @@ def run_report(command: str, seed: int, cfg: solver.TrackerConfig,
         "warnings": solution_set.warnings,
         "wall_ms": wall_ms,
     }
-
-
-def _config_from_args(args, seed: int) -> solver.TrackerConfig:
-    return solver.TrackerConfig(
-        track_tol=args.track_tol, newton_tol=args.newton_tol,
-        dedup_tol=args.dedup_tol, real_tol=args.real_tol,
-        start_kind=args.start_kind,
-        seed=seed, charts=args.charts, max_paths=args.max_paths,
-    )
 
 
 def _resolve_seed(args) -> int:
@@ -264,7 +254,7 @@ def cmd_solve(args) -> int:
     if args.r is not None:
         instance = instance.with_rank(args.r)
     seed = _resolve_seed(args)
-    cfg = _config_from_args(args, seed)
+    cfg = solver.TrackerConfig(seed=seed, charts=args.charts)
     t0 = time.perf_counter()
     try:
         solution_set = solver.solve(instance, args.formulation, cfg,
@@ -276,8 +266,7 @@ def cmd_solve(args) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     wall = (time.perf_counter() - t0) * 1000.0
-    report = run_report(f"solve {args.input}", seed, cfg, solution_set, wall,
-                        args.expect)
+    report = run_report(f"solve {args.input}", seed, solution_set, wall)
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     if args.expect is not None and solution_set.n_complex != args.expect:
@@ -395,9 +384,9 @@ def reproduce_catalecticant_count(seed: int, results: list) -> bool:
     cfg = solver.TrackerConfig(seed=seed, charts=1)
     stats = solver.PathStats()
     raw = solver.solve_system(sys_theta, cfg, stats=stats)
-    ded = solver._dedup(raw, cfg.dedup_tol)
+    ded = solver._dedup(raw, solver.DEDUP_TOL)
     warnings: list[str] = []
-    folded = solver._fold_symmetry(ded, sys_theta, cfg.dedup_tol, warnings)
+    folded = solver._fold_symmetry(ded, sys_theta, solver.DEDUP_TOL, warnings)
     ok = _check("tensor-weight raw count", len(ded) == 390,
                 f"found {len(ded)} filtered parameter solutions, expect 390 = 2*195",
                 results)
@@ -407,8 +396,8 @@ def reproduce_catalecticant_count(seed: int, results: list) -> bool:
     sys_gen = systems.catalecticant_rank2(data.tolist(), coeff_weights=coeffs.tolist())
     stats2 = solver.PathStats()
     raw2 = solver.solve_system(sys_gen, cfg, stats=stats2)
-    ded2 = solver._dedup(raw2, cfg.dedup_tol)
-    folded2 = solver._fold_symmetry(ded2, sys_gen, cfg.dedup_tol, warnings)
+    ded2 = solver._dedup(raw2, solver.DEDUP_TOL)
+    folded2 = solver._fold_symmetry(ded2, sys_gen, solver.DEDUP_TOL, warnings)
     ok &= _check("generic-weight raw count", len(ded2) == 3626,
                  f"found {len(ded2)}, expect 3626 = 2*1813", results)
     ok &= _check("generic-weight folded count", len(folded2) == 1813,
@@ -520,13 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight override: omega|ones|theta (Hankel) or unit")
     p.add_argument("--r", type=int, default=None, help="rank override")
     p.add_argument("--charts", type=int, default=2)
-    p.add_argument("--start-kind", choices=("auto", "total", "mh"), default="auto")
-    p.add_argument("--max-paths", type=int, default=500_000)
-    p.add_argument("--track-tol", type=float, default=1e-10)
-    p.add_argument("--newton-tol", type=float, default=1e-12)
-    p.add_argument("--dedup-tol", type=float, default=1e-6)
-    p.add_argument("--real-tol", type=float, default=1e-8)
-    p.add_argument("--allow-slow", action="store_true")
 
     p = sub.add_parser("make-instance", help="write a reproducible instance file")
     p.add_argument("--family", required=True,

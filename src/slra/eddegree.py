@@ -328,27 +328,3 @@ def stabilization_bound(m: int, n: int, r: int) -> int:
         raise ValueError("rank bound out of range")
     return r * (r + n - m)
 
-
-# ---------------------------------------------------------------------------
-# Reference tables (exact targets for the table subcommands)
-# ---------------------------------------------------------------------------
-
-def corank1_table_column(n: int, weights: str, section: str,
-                         smax: int | None = None) -> list[int | None]:
-    """One column of the square corank-one table: s = 0..smax.
-
-    Unit-weight affine entries have no formula here and come back as None;
-    the CLI substitutes embedded reference values for those.
-    """
-    if smax is None:
-        smax = n * n - 1
-    out: list[int | None] = []
-    for s in range(smax + 1):
-        if weights == "generic":
-            q = EDDegreeQuery(n, n, n - 1, s, section, "generic")
-            out.append(ed_degree(q))
-        elif section == "linear":
-            out.append(conjectured_corank1_unit(n, n, s))
-        else:
-            out.append(None)
-    return out

@@ -9,19 +9,22 @@ is classified by one projected Lagrangian Hessian in a rank-factor chart of
 the rank-r matrices, whatever the family or formulation.
 
 Normal-space charts skip the start system when the exact engine gives the
-count d (``start_kind="auto"``): 2d seeds, exact critical points of their
-own data from the linear inverse of the problem, are carried to the data by
-one parameter homotopy, and monodromy loops through random complex data
-permute the fibre until d points are known (Morgan & Sommese's
-coefficient-parameter theorem: no instance has more nonsingular isolated
-critical points than d, so stopping there hides none).  After STALL_LOOPS
-loops in a row without a new point, the multihomogeneous start runs for
-that chart; ``PathStats.start_kind`` then reads ``seeded>mh:...``.
+count d: 2d seeds, exact critical points of their own data from the linear
+inverse of the problem, are carried to the data by one parameter homotopy,
+and monodromy loops through random complex data permute the fibre until d
+points are known (Morgan & Sommese's coefficient-parameter theorem: no
+instance has more nonsingular isolated critical points than d, so stopping
+there hides none).  After STALL_LOOPS loops in a row without a new point,
+the multihomogeneous start runs for that chart; ``PathStats.start_kind``
+then reads ``seeded>mh:...``.
 
 Paths are tracked in vectorized batches: the per-path adaptive state lives in
 flat numpy arrays and every predictor/corrector stage is a batched polynomial
 evaluation plus a batched linear solve; results are canonically sorted at
 the end.
+
+Tolerances and step limits are module constants (TRACK_TOL ... DIV_THRESHOLD
+below); a ``TrackerConfig`` carries only the seed and the number of charts.
 """
 
 from __future__ import annotations
@@ -41,31 +44,25 @@ from .systems import CPoly, PolySystem
 ACTIVE, CONVERGED, DIVERGED, SINGULAR, FAILED = 0, 1, 2, 3, 4
 
 
+# Tolerances and step limits of every solve
+TRACK_TOL = 1e-10        # mid-path corrector (floored at 1e-8 in the tracker)
+NEWTON_TOL = 1e-12       # endpoint Newton and refinement step size
+DEDUP_TOL = 1e-6         # matrix-space distance of one point
+REAL_TOL = 1e-8          # imaginary part of a real point
+MIN_STEP = 1e-14
+MAX_STEP = 0.1
+MAX_STEPS = 10_000
+CHUNK = 6000             # start points per tracked batch
+MAX_PATHS = 500_000
+DIV_THRESHOLD = 1e8      # coordinate norm of a diverging path
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
-    """All tunables of one solver run; the seed fixes every random choice."""
+    """The settings of one solver run; the seed fixes every random choice."""
 
-    track_tol: float = 1e-10
-    newton_tol: float = 1e-12
-    dedup_tol: float = 1e-6
-    real_tol: float = 1e-8
-    min_step: float = 1e-14
-    max_step: float = 0.1
-    max_steps: int = 10_000
-    start_kind: str = "auto"       # "auto" | "total" | "mh"
     seed: int = 0
     charts: int = 2
-    chunk: int = 6000
-    max_paths: int = 500_000
-    div_threshold: float = 1e8
-
-    def __post_init__(self):
-        for name in ("track_tol", "newton_tol", "dedup_tol", "real_tol",
-                     "min_step", "max_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.dedup_tol <= self.newton_tol:
-            raise ValueError("dedup tolerance must exceed Newton tolerance")
 
     def gamma(self) -> complex:
         u = float(np.random.default_rng(self.seed ^ 0x5EED).uniform(0.05, 0.95))
@@ -193,17 +190,16 @@ class PowerStart:
         return vals, jac
 
 
-def total_degree_start(equations: Sequence[CPoly], rng: np.random.Generator,
-                       max_paths: int):
+def total_degree_start(equations: Sequence[CPoly], rng: np.random.Generator):
     """x_i^{d_i} - c_i with random unit-modulus c_i; lazily enumerated roots."""
     nvars = len(equations)
     degrees = [eq.degree() for eq in equations]
     if any(d <= 0 for d in degrees):
         raise ValueError("zero-degree equation in start system")
     total = math.prod(degrees)
-    if total > max_paths:
+    if total > MAX_PATHS:
         raise ValueError(f"total-degree start needs {total} paths "
-                         f"(> max_paths {max_paths})")
+                         f"(> max_paths {MAX_PATHS})")
     phases = rng.uniform(0.0, 1.0, size=nvars)
     c = np.exp(2j * np.pi * phases)
     roots = [c[i] ** (1.0 / degrees[i])
@@ -387,15 +383,16 @@ class MultihomogStart:
 
 
 def choose_start(squared: Sequence[CPoly], label_indices: dict[str, list[int]],
-                 nvars: int, rng: np.random.Generator, cfg: TrackerConfig):
-    """Pick total-degree or the best multihomogeneous grouping.
+                 nvars: int, rng: np.random.Generator):
+    """Pick the best multihomogeneous grouping, or total-degree when no
+    grouping needs fewer paths.
 
     Returns (start equations, path count, point generator, description).
     """
     degrees = [eq.degree() for eq in squared]
     td_count = math.prod(degrees)
     best = None
-    if cfg.start_kind in ("auto", "mh") and len(label_indices) > 1:
+    if len(label_indices) > 1:
         labels = sorted(label_indices)
         for blocks in set_partitions(labels):
             if len(blocks) == 1:
@@ -409,17 +406,15 @@ def choose_start(squared: Sequence[CPoly], label_indices: dict[str, list[int]],
             key = (count, len(blocks))
             if best is None or key < best[0]:
                 best = (key, groups, blocks)
-    use_mh = best is not None and (cfg.start_kind == "mh"
-                                   or (cfg.start_kind == "auto" and best[0][0] < td_count))
-    if use_mh:
+    if best is not None and best[0][0] < td_count:
         groups = best[1]
         start = MultihomogStart(squared, groups, nvars, rng)
-        if start.count > cfg.max_paths:
+        if start.count > MAX_PATHS:
             raise ValueError(f"multihomogeneous start needs {start.count} paths "
-                             f"(> max_paths {cfg.max_paths})")
+                             f"(> max_paths {MAX_PATHS})")
         desc = "mh:" + "|".join(",".join(b) for b in best[2])
         return start, start.count, start.enumerate_points, desc
-    start, count, gen = total_degree_start(squared, rng, cfg.max_paths)
+    start, count, gen = total_degree_start(squared, rng)
     return start, count, gen, "total-degree"
 
 
@@ -440,61 +435,29 @@ def normalize_equations(equations: Sequence[CPoly]) -> list[CPoly]:
 def square_up(system: PolySystem, rng: np.random.Generator) -> list[CPoly]:
     """Random combinations reducing an overdetermined system to a square one.
 
-    When the system declares a merge block (the equations carrying its
-    polynomial syzygies), the reduction randomizes inside that block: keeping
-    the block intact would leave the squared Jacobian singular at every
-    solution.  Otherwise equations with identical per-label degree signatures
-    are combined so the multihomogeneous structure survives.  Spurious
-    solutions introduced by randomization are removed later by the residual
-    filter on the full system.
+    An overdetermined system declares a merge block (the equations carrying
+    its polynomial syzygies), and the reduction randomizes inside that block:
+    keeping the block intact would leave the squared Jacobian singular at
+    every solution.  Spurious solutions introduced by randomization are
+    removed later by the residual filter on the full system.
     """
     if not system.overdetermined:
         return list(system.equations)
-    excess = len(system.equations) - system.n_vars
-
-    def combine(members: list[int], target: int) -> list[CPoly]:
-        mix = rng.normal(size=(target, len(members))) \
-            + 1j * rng.normal(size=(target, len(members)))
-        out = []
-        for row in mix:
-            eq = CPoly.const(system.n_vars, 0.0)
-            for c, i in zip(row, members):
-                eq = eq + c * system.equations[i]
-            out.append(eq)
-        return out
-
-    if system.merge_block is not None:
-        block = list(system.merge_block)
-        if len(block) - excess < 1:
-            raise ValueError("merge block too small to absorb the excess")
-        keep = [i for i in range(len(system.equations)) if i not in set(block)]
-        out = combine(block, len(block) - excess)
-        out.extend(system.equations[i] for i in keep)
-        return out
-
-    labels = sorted(system.label_indices())
-    idx = system.label_indices()
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, eq in enumerate(system.equations):
-        sig = tuple(eq.degree_on(idx[lab]) for lab in labels)
-        classes.setdefault(sig, []).append(i)
-    sizes = {sig: len(members) for sig, members in classes.items()}
-    order = sorted(classes, key=lambda sig: (sum(sig), sizes[sig]), reverse=True)
-    for sig in order:
-        while excess > 0 and sizes[sig] > 1:
-            sizes[sig] -= 1
-            excess -= 1
-        if excess == 0:
-            break
-    if excess > 0:
-        raise ValueError("cannot square up: too few combinable equations")
-    out: list[CPoly] = []
-    for sig in sorted(classes):
-        members = classes[sig]
-        if sizes[sig] == len(members):
-            out.extend(system.equations[i] for i in members)
-        else:
-            out.extend(combine(members, sizes[sig]))
+    if system.merge_block is None:
+        raise ValueError("an overdetermined system must declare its merge_block")
+    block = list(system.merge_block)
+    target = len(block) - (len(system.equations) - system.n_vars)
+    if target < 1:
+        raise ValueError("merge block too small to absorb the excess")
+    mix = rng.normal(size=(target, len(block))) \
+        + 1j * rng.normal(size=(target, len(block)))
+    out = []
+    for row in mix:
+        eq = CPoly.const(system.n_vars, 0.0)
+        for c, i in zip(row, block):
+            eq = eq + c * system.equations[i]
+        out.append(eq)
+    out.extend(eq for i, eq in enumerate(system.equations) if i not in set(block))
     return out
 
 
@@ -609,21 +572,21 @@ class _Shifted:
         return fv + self.b, fj
 
 
-def track_batch(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
+def track_batch(hom: Homotopy, x0: np.ndarray):
     """Track one batch of paths from t=0 to t=1.
 
     Returns (status array, endpoint array); endpoints are meaningful for
     CONVERGED and SINGULAR (endgame-extrapolated) paths.
     """
     with np.errstate(all="ignore"):
-        return _track_batch_impl(hom, x0, cfg)
+        return _track_batch_impl(hom, x0)
 
 
-def _track_batch_impl(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
+def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
     n = x0.shape[0]
     x = x0.astype(complex).copy()
     t = np.zeros(n)
-    h = np.full(n, min(0.05, cfg.max_step))
+    h = np.full(n, min(0.05, MAX_STEP))
     status = np.full(n, ACTIVE, dtype=np.int8)
     streak = np.zeros(n, dtype=np.int32)
     steps = np.zeros(n, dtype=np.int64)
@@ -669,7 +632,7 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
         # mid-path corrector tolerance is looser than the endpoint tolerance;
         # endpoints are re-polished on the target system anyway
         pred, pok = rk4(xa, ta, ha, act)
-        xc, cok = newton(pred, ta + ha, act, 3, max(cfg.track_tol, 1e-8))
+        xc, cok = newton(pred, ta + ha, act, 3, max(TRACK_TOL, 1e-8))
         accept = pok & cok & np.isfinite(xc).all(axis=1)
 
         ia = act[accept]
@@ -678,7 +641,7 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
         streak[ia] += 1
         rejects[ia] = 0
         grow = ia[streak[ia] >= 2]
-        h[grow] = np.minimum(h[grow] * 1.5, cfg.max_step)
+        h[grow] = np.minimum(h[grow] * 1.5, MAX_STEP)
         # rejected paths halve the step; only consecutive rejects count as stuck
         ir = act[~accept]
         h[ir] *= 0.5
@@ -687,18 +650,18 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
         steps[act] += 1
 
         norms = np.max(np.abs(x[act]), axis=1)
-        diverged = act[~np.isfinite(norms) | (norms > cfg.div_threshold)]
+        diverged = act[~np.isfinite(norms) | (norms > DIV_THRESHOLD)]
         status[diverged] = DIVERGED
 
-        stalled = act[((h[act] < cfg.min_step) | (rejects[act] > 50))
+        stalled = act[((h[act] < MIN_STEP) | (rejects[act] > 50))
                       & (status[act] == ACTIVE)]
         status[stalled] = FAILED
-        exhausted = act[(steps[act] >= cfg.max_steps) & (status[act] == ACTIVE)]
+        exhausted = act[(steps[act] >= MAX_STEPS) & (status[act] == ACTIVE)]
         status[exhausted] = FAILED
 
         done = np.nonzero((status == ACTIVE) & (t >= 1.0 - 2e-10))[0]
         if done.size:
-            xe, conv = newton_target(hom.end_system(done), x[done], cfg)
+            xe, conv = newton_target(hom.end_system(done), x[done])
             endpoint[done] = xe
             # unbounded endpoints that fail the final Newton are at infinity,
             # not singular
@@ -709,7 +672,7 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
     # endgame for stalled paths that got close to the end
     stalled = np.nonzero((status == FAILED) & (t > 0.95))[0]
     if stalled.size:
-        xe, got = _endgame(hom, x[stalled], t[stalled], stalled, cfg)
+        xe, got = _endgame(hom, x[stalled], t[stalled], stalled)
         endpoint[stalled[got]] = xe[got]
         status[stalled[got]] = SINGULAR
     # paths abandoned at a large norm were heading to infinity
@@ -720,19 +683,27 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray, cfg: TrackerConfig):
     return status, endpoint
 
 
-def newton_target(f, x: np.ndarray, cfg: TrackerConfig, iters: int = 12):
-    """Newton on the target system F alone (square systems)."""
-    xc = x.astype(complex).copy()
+def _newton(eval_and_jac, x: np.ndarray, iters: int, tol: float):
+    """Newton's method on a batch of square systems; returns the iterates and
+    the mask of rows whose every linear solve succeeded.  Stops once each of
+    those rows moves by less than tol relative to its size."""
+    xc = x.astype(complex)
     ok = np.ones(x.shape[0], dtype=bool)
     for _ in range(iters):
-        fv, fj = f.eval_and_jac(xc)
+        fv, fj = eval_and_jac(xc)
         delta, solvable = _batched_solve(fj, -fv)
         ok &= solvable
         xc = np.where(solvable[:, None], xc + delta, xc)
         dn = np.max(np.abs(delta), axis=1)
         scale = 1.0 + np.max(np.abs(xc), axis=1)
-        if np.all(dn[ok] < cfg.newton_tol * scale[ok]) if ok.any() else True:
+        if np.all(dn[ok] < tol * scale[ok]) if ok.any() else True:
             break
+    return xc, ok
+
+
+def newton_target(f, x: np.ndarray, iters: int = 12):
+    """Newton on the target system F alone (square systems)."""
+    xc, ok = _newton(f.eval_and_jac, x, iters, NEWTON_TOL)
     fv = f.eval(xc)
     res = np.max(np.abs(fv), axis=1)
     conv = ok & np.isfinite(res) & (res < 1e-6 * (1.0 + f.coeff_scale)) \
@@ -740,21 +711,20 @@ def newton_target(f, x: np.ndarray, cfg: TrackerConfig, iters: int = 12):
     return xc, conv
 
 
-def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray,
-             cfg: TrackerConfig):
+def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray):
     """Geometric marching toward t=1 with vector extrapolation.
 
     Samples x(t_k) at t_k = 1 - (1 - t0) 2^-k via damped Newton correction,
     then extrapolates the geometric tail; used for singular endpoints only.
     """
-    xc = x.astype(complex).copy()
+    xc = x.astype(complex)
     tc = t.copy()
     samples = [xc.copy()]
     alive = np.ones(x.shape[0], dtype=bool)
     for _ in range(14):
         tc = 1.0 - (1.0 - tc) * 0.5
-        xc2, conv = _newton_at(hom, xc, tc, rows, 12, 1e-8)
-        alive &= conv & (np.max(np.abs(xc2), axis=1) < cfg.div_threshold)
+        xc2, conv = _newton(lambda z: hom.eval_jac(z, tc, rows)[:2], xc, 12, 1e-8)
+        alive &= conv & (np.max(np.abs(xc2), axis=1) < DIV_THRESHOLD)
         xc = np.where(alive[:, None], xc2, xc)
         samples.append(xc.copy())
     # Aitken-style limit from the last three samples
@@ -772,23 +742,8 @@ def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray,
     return limit, got
 
 
-def _newton_at(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray,
-               iters: int, tol: float):
-    xc = x.copy()
-    ok = np.ones(x.shape[0], dtype=bool)
-    for _ in range(iters):
-        hv, hx, _ = hom.eval_jac(xc, t, rows)
-        delta, solvable = _batched_solve(hx, -hv)
-        ok &= solvable
-        xc = np.where(solvable[:, None], xc + delta, xc)
-        dn = np.max(np.abs(delta), axis=1)
-        if np.all(dn[ok] < tol * (1.0 + np.max(np.abs(xc), axis=1))[ok]) if ok.any() else True:
-            break
-    return xc, ok
-
-
 def refine_full(system: PolySystem, compiled_full: CompiledSystem,
-                points: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+                points: np.ndarray) -> np.ndarray:
     """Gauss-Newton refinement on the original (possibly overdetermined)
     system, with a mixed-precision ultimate pass for the survivors."""
     if points.size == 0:
@@ -805,7 +760,7 @@ def refine_full(system: PolySystem, compiled_full: CompiledSystem,
             delta, _ = _batched_solve(fj, -fv)
         delta = np.where(np.isfinite(delta), delta, 0.0)
         xc = xc + delta
-        if np.max(np.abs(delta)) < cfg.newton_tol * (1.0 + np.max(np.abs(xc))):
+        if np.max(np.abs(delta)) < NEWTON_TOL * (1.0 + np.max(np.abs(xc))):
             break
     if xc.shape[0] <= 2000:
         xc = _polish_extended(system, compiled_full, xc)
@@ -1064,9 +1019,9 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
     local = PathStats()
 
     def accept(pts: np.ndarray, flags: np.ndarray) -> list[tuple]:
-        return _accept(system, compiled_full, pts, flags, cfg, transfer, local)
+        return _accept(system, compiled_full, pts, flags, transfer, local)
 
-    seeded = bool(count) and system.lift is not None and cfg.start_kind == "auto"
+    seeded = bool(count) and system.lift is not None
     accepted: list[tuple] = []
     if seeded:
         accepted = _fill_fibre(system, mixed, squared, compiled_sq, count, cfg,
@@ -1074,14 +1029,14 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
         local.start_kind = "seeded"
     if not seeded or len(accepted) < count:
         start, n_paths, point_gen, desc = choose_start(
-            squared, system.label_indices(), system.n_vars, rng, cfg)
+            squared, system.label_indices(), system.n_vars, rng)
         hom = Homotopy(compiled_sq, start, cfg.gamma())
         endpoints: list[np.ndarray] = []
         singular_flags: list[np.ndarray] = []
         seen = 0
-        for batch in point_gen(cfg.chunk):
+        for batch in point_gen(CHUNK):
             seen += batch.shape[0]
-            status, endp = track_batch(hom, batch, cfg)
+            status, endp = track_batch(hom, batch)
             _tally(local, status)
             good = (status == CONVERGED) | (status == SINGULAR)
             if np.any(good):
@@ -1109,13 +1064,12 @@ def _tally(stats: PathStats, status: np.ndarray) -> None:
 
 
 def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
-            flags: np.ndarray, cfg: TrackerConfig,
-            transfer: Callable[[np.ndarray], np.ndarray] | None,
+            flags: np.ndarray, transfer: Callable[[np.ndarray], np.ndarray] | None,
             stats: PathStats) -> list[tuple]:
     """Refine endpoints on the full system; keep those that pass the
     residual and degenerate-locus filters."""
     with np.errstate(all="ignore"):
-        pts = refine_full(system, compiled_full, pts, cfg)
+        pts = refine_full(system, compiled_full, pts)
         fv = compiled_full.eval(pts)
     res = np.max(np.abs(fv), axis=1)
     threshold = 1e-8 * (1.0 + compiled_full.coeff_scale)
@@ -1177,7 +1131,7 @@ def _fill_fibre(system: PolySystem, mixed: list[CPoly], squared: list[CPoly],
             out[..., rows] = coef * (U - v).reshape(v.shape[:-2] + (m * n,))
             return np.broadcast_to(out, (len(x), len(squared)))
         hom = Homotopy(compiled_sq, None, offsets=(offset(v0), offset(v1)))
-        return track_batch(hom, x, cfg)
+        return track_batch(hom, x)
 
     found: list[tuple] = []
 
@@ -1188,7 +1142,7 @@ def _fill_fibre(system: PolySystem, mixed: list[CPoly], squared: list[CPoly],
         pts = np.concatenate([pts, system.lift(X, Lam * (U - X))])
         flags = np.concatenate([flags, flags])
         before = len(found)
-        found[:] = _dedup(found + accept(pts, flags), cfg.dedup_tol)
+        found[:] = _dedup(found + accept(pts, flags), DEDUP_TOL)
         return len(found) > before
 
     X, N = systems.normal_space_seeds(inst, 2 * count, rng)
@@ -1334,16 +1288,14 @@ def solve(instance: Instance, formulation: str = "auto",
     raw: list[tuple[np.ndarray, np.ndarray, float, str]] = []
     for system in charts:
         raw.extend(solve_system(system, cfg, transfer, stats, count))
-    base = charts[0]
-    raw = _fold_symmetry(_dedup(raw, cfg.dedup_tol), base, cfg.dedup_tol, warnings) \
-        if base.symmetry is not None else _dedup(raw, cfg.dedup_tol)
+    raw = _fold_symmetry(_dedup(raw, DEDUP_TOL), charts[0], DEDUP_TOL, warnings)
 
     Lam = instance.weights.as_array()
     U = instance.data_array()
     points: list[CriticalPoint] = []
     for coords, mat, res, chart, singular in raw:
         scale = 1.0 + float(np.max(np.abs(mat)))
-        is_real = bool(np.max(np.abs(np.imag(mat))) < cfg.real_tol * scale)
+        is_real = bool(np.max(np.abs(np.imag(mat))) < REAL_TOL * scale)
         cp = CriticalPoint(coords=coords, X=mat, residual=res, is_real=is_real,
                            chart=chart, multiplicity_flag=singular)
         if is_real:
@@ -1354,7 +1306,7 @@ def solve(instance: Instance, formulation: str = "auto",
 
     # conjugation closure check
     nonreal = [p for p in points if not p.is_real]
-    unmatched = _conjugate_mismatch(nonreal, cfg.dedup_tol)
+    unmatched = _conjugate_mismatch(nonreal, DEDUP_TOL)
     if unmatched:
         warnings.append(f"{unmatched} non-real points without a conjugate partner")
     if not stats.consistent():

@@ -20,8 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-Rational = Fraction
-
 FAMILIES = ("dense", "hankel", "catalecticant", "sylvester")
 
 
@@ -286,10 +284,6 @@ class WeightMatrix:
         w = self.rows
         return all(x * w[0][0] == w[i][0] * w[0][j]
                    for i, row in enumerate(w) for j, x in enumerate(row))
-
-    def hadamard_inverse(self) -> "WeightMatrix":
-        return WeightMatrix(tuple(tuple(Fraction(1) / x for x in row)
-                                  for row in self.rows))
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def test_criterion_9_duality_bijection():
         cfg = solver.TrackerConfig(seed=seed, charts=1)
         corank = solver.solve(inst, "primal", cfg)
         raw = solver.solve_system(systems.dual_rank1(U, Lam), cfg)
-        rank1 = solver._dedup(raw, cfg.dedup_tol)
+        rank1 = solver._dedup(raw, solver.DEDUP_TOL)
         ys = [entry[1] for entry in rank1]
         matched = 0
         for p in corank.points:

@@ -21,7 +21,7 @@ def test_track_univariate_shift():
     start = sv.PowerStart([2], np.array([1.0 + 0j]))
     hom = sv.Homotopy(target, start, sv.TrackerConfig(seed=1).gamma())
     x0 = np.array([[1.0 + 0j], [-1.0 + 0j]])
-    status, endp = sv.track_batch(hom, x0, sv.TrackerConfig(seed=1))
+    status, endp = sv.track_batch(hom, x0)
     assert list(status) == [sv.CONVERGED, sv.CONVERGED]
     assert sorted(np.round(endp[:, 0].real, 8)) == [-2.0, 2.0]
 
@@ -33,7 +33,7 @@ def test_track_identity_homotopy():
     start = sv.PowerStart([2], np.array([1.0 + 0j]))
     hom = sv.Homotopy(target, start, sv.TrackerConfig(seed=1).gamma())
     x0 = np.array([[1.0 + 0j], [-1.0 + 0j]])
-    status, endp = sv.track_batch(hom, x0, sv.TrackerConfig(seed=1))
+    status, endp = sv.track_batch(hom, x0)
     assert np.allclose(endp, x0, atol=1e-8)
 
 
@@ -54,17 +54,18 @@ def test_track_linear_system_oracle():
     assert np.max(np.abs(pts[0][0] - np.linalg.solve(A, b))) < 1e-10
 
 
-def test_total_degree_budget_guard():
+def test_total_degree_budget_guard(monkeypatch):
     eqs = [CPoly(2, {(9, 0): 1.0, (0, 0): -1.0}),
            CPoly(2, {(0, 9): 1.0, (0, 0): -1.0})]
+    monkeypatch.setattr(sv, "MAX_PATHS", 10)
     with pytest.raises(ValueError, match="max_paths"):
-        sv.total_degree_start(eqs, np.random.default_rng(0), max_paths=10)
+        sv.total_degree_start(eqs, np.random.default_rng(0))
 
 
 def test_total_degree_rejects_constant_equation():
     eqs = [CPoly(1, {(0,): 1.0})]
     with pytest.raises(ValueError, match="zero-degree"):
-        sv.total_degree_start(eqs, np.random.default_rng(0), max_paths=10)
+        sv.total_degree_start(eqs, np.random.default_rng(0))
 
 
 def test_mh_bezout_counts():
@@ -151,7 +152,7 @@ def test_compiled_system_on_an_empty_batch():
     fv, fj = compiled.eval_and_jac(x)
     assert fv.shape == (0, 2) and fj.shape == (0, 2, 2)
     hom = sv.Homotopy(compiled, sv.PowerStart([3, 1], np.ones(2)), 1j)
-    status, endp = sv.track_batch(hom, x, sv.TrackerConfig())
+    status, endp = sv.track_batch(hom, x)
     assert status.shape == (0,) and endp.shape == (0, 2)
 
 
@@ -191,17 +192,36 @@ def test_start_point_count_matches_bound():
     stats = sv.PathStats()
     sv.solve_system(system, cfg, stats=stats)
     assert stats.n_paths == 73          # the multihomogeneous bound, exactly
-    stats2 = sv.PathStats()
-    sv.solve_system(system, sv.TrackerConfig(seed=1, charts=1, start_kind="total"),
-                    stats=stats2)
-    assert stats2.n_paths == 3 ** 5     # the Bezout bound, exactly
+    squared = sv.square_up(system, np.random.default_rng(1))
+    # the Bezout bound, exactly
+    assert sv.total_degree_start(squared, np.random.default_rng(1))[1] == 3 ** 5
 
 
-def test_tracker_config_validation():
-    with pytest.raises(ValueError):
-        sv.TrackerConfig(dedup_tol=1e-14)   # must exceed newton_tol
-    with pytest.raises(ValueError):
-        sv.TrackerConfig(track_tol=-1.0)
+def test_overdetermined_system_needs_a_merge_block():
+    x = CPoly(1, {(1,): 1.0})
+    system = PolySystem(variables=("x",), equations=[x, x * 2.0],
+                        var_labels=("x",), formulation="test",
+                        reconstruct=lambda c: np.array([[c[0]]]))
+    assert system.overdetermined and system.merge_block is None
+    with pytest.raises(ValueError, match="merge_block"):
+        sv.square_up(system, np.random.default_rng(0))
+
+
+def test_path_outcomes_are_pinned():
+    # every path's outcome on two small solves, one per start route: a
+    # tolerance or step limit that drifts changes these counts
+    rey = st.load_dataset("rey")
+    ss = sv.solve(rey, "dual-rank1", sv.TrackerConfig(seed=1, charts=1))
+    assert vars(ss.stats) == dict(
+        n_paths=73, n_converged=43, n_diverged=0, n_singular=30, n_failed=0,
+        n_filtered=28, n_raw_points=45, start_kind="mh:t|z", charts=1)
+    assert (ss.n_complex, ss.n_real, ss.n_local_min) == (39, 19, 7)
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
+    assert vars(ss.stats) == dict(
+        n_paths=14, n_converged=14, n_diverged=0, n_singular=0, n_failed=0,
+        n_filtered=0, n_raw_points=7, start_kind="seeded", charts=1)
+    assert ss.n_complex == 7
 
 
 def test_gamma_unit_modulus_and_seeded():
@@ -288,7 +308,7 @@ def test_duality_bijection_small():
     cfg = sv.TrackerConfig(seed=6, charts=1)
     U, Lam = inst.data_array(), inst.weights.as_array()
     dual_points = sv._dedup(
-        sv.solve_system(sy.dual_rank1(U, Lam), cfg), cfg.dedup_tol)
+        sv.solve_system(sy.dual_rank1(U, Lam), cfg), sv.DEDUP_TOL)
     # the transferred X of each dual point is a corank-one critical point: its
     # weighted residual must be orthogonal to the corank-one tangent space
     assert len(dual_points) == 39
@@ -309,16 +329,23 @@ def test_reconcile_report():
     assert "suggestion" in mismatch
 
 
-@pytest.mark.parametrize("start_kind", ["auto", "mh"])
-def test_normal_space_excludes_the_cone_point(start_kind):
+def _without_count(monkeypatch):
+    # no exact count: the solve tracks the start system, the seeded route's oracle
+    monkeypatch.setattr(sv, "_predict", lambda instance: (None, "no count"))
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "start-system"])
+def test_normal_space_excludes_the_cone_point(seeded, monkeypatch):
     # X = 0 lies on every linear section and on the rank <= 1 cone; for r = 1
     # the singular-value ratio cannot see it, so the filter needs a scale
     inst = st.dense_instance(2, 3, 1, seed=877150602, s=2)
     system = sy.normal_space(inst)
     assert system.degenerate(None, np.zeros((2, 3)), 1e-8)
-    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=877150602, charts=1,
-                                                   start_kind=start_kind))
-    assert ss.predicted == 7
+    assert sv._predict(inst)[0] == 7
+    if not seeded:
+        _without_count(monkeypatch)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=877150602, charts=1))
+    assert ss.stats.start_kind.startswith("seeded" if seeded else "mh:")
     assert ss.n_complex == 7
     assert all(np.max(np.abs(p.X)) > 1e-3 for p in ss.points)
 
@@ -406,11 +433,13 @@ SLOW_ORACLE = [pytest.mark.slow, pytest.mark.skipif(
     (3, 3, 2, 0, 55, 1), (2, 3, 1, 2, 6, 1), (2, 3, 1, 1, 3, 2),
     pytest.param(3, 4, 1, 3, 5, 1, marks=SLOW_ORACLE),
 ])
-def test_seeded_points_equal_the_start_system_points(m, n, r, s, seed, charts):
+def test_seeded_points_equal_the_start_system_points(m, n, r, s, seed, charts,
+                                                     monkeypatch):
     inst = st.dense_instance(m, n, r, seed=seed, s=s)
-    seeded = sv.solve(inst, "normal", sv.TrackerConfig(seed=seed, charts=charts))
-    mh = sv.solve(inst, "normal", sv.TrackerConfig(seed=seed, charts=charts,
-                                                    start_kind="mh"))
+    cfg = sv.TrackerConfig(seed=seed, charts=charts)
+    seeded = sv.solve(inst, "normal", cfg)
+    _without_count(monkeypatch)
+    mh = sv.solve(inst, "normal", cfg)
     assert seeded.stats.start_kind == "seeded"
     assert mh.stats.start_kind.startswith("mh:")
     assert seeded.n_complex == seeded.predicted == mh.n_complex
@@ -425,11 +454,13 @@ def test_seeded_solve_falls_back_to_the_start_system(monkeypatch):
     # finds what there is
     inst = st.dense_instance(2, 3, 1, seed=6, s=2)
     cfg = sv.TrackerConfig(seed=6, charts=1)
-    mh = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1, start_kind="mh"))
     predict = sv._predict
+    _without_count(monkeypatch)
+    mh = sv.solve(inst, "normal", cfg)
     monkeypatch.setattr(sv, "_predict",
                         lambda instance: (predict(instance)[0] + 1, "generic ED degree"))
     ss = sv.solve(inst, "normal", cfg)
+    assert mh.stats.start_kind.startswith("mh:")
     assert ss.stats.start_kind == "seeded>" + mh.stats.start_kind
     assert ss.n_complex == mh.n_complex == 7 and ss.predicted == 8
     assert ss.stats.n_paths > mh.stats.n_paths
