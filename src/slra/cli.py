@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -376,11 +377,25 @@ def reproduce_example36(seed: int, results: list) -> bool:
     return ok
 
 
-def reproduce_catalecticant_count(seed: int, results: list) -> bool:
+def catalecticant_count_instances(seed: int):
+    """The count's tensor-weight instance, its generic-weight variant and the
+    drawn coefficients w_k, each spread as w_k / |positions of k| so that the
+    coordinate weights sum back to w_k exactly."""
     rng = np.random.default_rng(seed)
     data = rng.integers(-10, 11, size=15).astype(float)
     data[0] += 11  # keep the leading coefficient away from zero
-    sys_theta = systems.catalecticant_rank2(data.tolist())
+    theta = structured.catalecticant_instance(
+        dict(zip(structured.CATALECTICANT_COORDS, data.tolist())))
+    coeffs = rng.integers(1, 21, size=15)
+    st = theta.structure()
+    generic = theta.with_weights(structured.WeightMatrix.from_rows(
+        [[Fraction(int(coeffs[k]), len(st.positions(k))) for k in row] for row in st.grid]))
+    return theta, generic, coeffs
+
+
+def reproduce_catalecticant_count(seed: int, results: list) -> bool:
+    theta, generic, _ = catalecticant_count_instances(seed)
+    sys_theta = systems.catalecticant_rank2(theta)
     cfg = solver.TrackerConfig(seed=seed, charts=1)
     stats = solver.PathStats()
     raw = solver.solve_system(sys_theta, cfg, stats=stats)
@@ -392,8 +407,7 @@ def reproduce_catalecticant_count(seed: int, results: list) -> bool:
                 results)
     ok &= _check("tensor-weight folded count", len(folded) == 195,
                  f"found {len(folded)}, expect 195", results)
-    coeffs = rng.integers(1, 21, size=15).astype(float)
-    sys_gen = systems.catalecticant_rank2(data.tolist(), coeff_weights=coeffs.tolist())
+    sys_gen = systems.catalecticant_rank2(generic)
     stats2 = solver.PathStats()
     raw2 = solver.solve_system(sys_gen, cfg, stats=stats2)
     ded2 = solver._dedup(raw2, solver.DEDUP_TOL)

@@ -45,7 +45,7 @@ ACTIVE, CONVERGED, DIVERGED, SINGULAR, FAILED = 0, 1, 2, 3, 4
 
 
 # Tolerances and step limits of every solve
-TRACK_TOL = 1e-10        # mid-path corrector (floored at 1e-8 in the tracker)
+TRACK_TOL = 1e-8         # mid-path corrector; endpoints are re-polished
 NEWTON_TOL = 1e-12       # endpoint Newton and refinement step size
 DEDUP_TOL = 1e-6         # matrix-space distance of one point
 REAL_TOL = 1e-8          # imaginary part of a real point
@@ -629,10 +629,8 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
         # bounded number of steps instead of stalling at the boundary
         ha = np.minimum(h[act], np.maximum(0.5 * (1.0 - ta), 1e-10))
 
-        # mid-path corrector tolerance is looser than the endpoint tolerance;
-        # endpoints are re-polished on the target system anyway
         pred, pok = rk4(xa, ta, ha, act)
-        xc, cok = newton(pred, ta + ha, act, 3, max(TRACK_TOL, 1e-8))
+        xc, cok = newton(pred, ta + ha, act, 3, TRACK_TOL)
         accept = pok & cok & np.isfinite(xc).all(axis=1)
 
         ia = act[accept]
@@ -888,7 +886,7 @@ def _fold_symmetry(points: list[tuple], system: PolySystem, tol: float,
                    warnings: list[str]) -> list[tuple]:
     """Quotient by the chart symmetry: keep one representative per orbit,
     matching partners by nearest neighbor under the involution."""
-    if system.symmetry is None or system.symmetry_order == 1 or not points:
+    if system.symmetry is None or not points:
         return points
     coords = np.array([p[0] for p in points])
     images = np.array([system.symmetry(c) for c in coords])
@@ -972,7 +970,7 @@ def classify_point(instance: Instance, point: CriticalPoint) -> str:
 
     One projected Lagrangian Hessian for every family: the objective
     sum Lam_ij (X_ij - U_ij)^2 in a rank-factor chart of the rank-r matrices,
-    constrained by the rows of ``instance.linear_rows()`` (sections and
+    constrained by the rows of ``instance.section()`` (constraints and
     structure), tested on the tangent space of their intersection.
     """
     if point.multiplicity_flag:
@@ -981,7 +979,7 @@ def classify_point(instance: Instance, point: CriticalPoint) -> str:
     D, others, a_idx, b_idx = _rank_factor_chart(X, instance.r)
     lam2 = 2.0 * instance.weights.as_array().ravel()
     g = lam2 * (X - instance.data_array()).ravel()
-    C = instance.linear_rows()
+    C = instance.section()[0]
     J = C @ D
     mu = np.linalg.lstsq(J.T, -(D.T @ g), rcond=None)[0]
     G = (g + C.T @ mu).reshape(X.shape)
@@ -1172,8 +1170,7 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
     m, n, r = instance.m, instance.n, instance.r
     s = instance.codimension()
     section = instance.section_kind()
-    st = instance.structure()
-    if st is None:
+    if instance.family == "dense":
         if s == 0 and instance.weights.is_rank_one():
             # Lam = a b^T: X -> D_a^{1/2} X D_b^{1/2} turns the problem into
             # unweighted Eckart-Young, one critical point per kept subset
@@ -1218,14 +1215,9 @@ def _build_charts(instance: Instance, formulation: str, cfg: TrackerConfig):
     if formulation == "primal":
         return [systems.primal_corank1(instance)], None
     if formulation == "hankel-rank1":
-        st = instance.structure()
-        coords = [float(x) for x in st.coords_from_matrix(U)]
-        order = int(instance.params["hankel_order"])
-        return [systems.hankel_rank1(order, instance.weights, coords)], None
+        return [systems.hankel_rank1(instance)], None
     if formulation == "catalecticant":
-        st = instance.structure()
-        coords = [float(x) for x in st.coords_from_matrix(U)]
-        return [systems.catalecticant_rank2(coords)], None
+        return [systems.catalecticant_rank2(instance)], None
     if formulation == "normal":
         charts = [systems.normal_space(instance)]
         if cfg.charts > 1:
@@ -1257,8 +1249,7 @@ def default_formulation(instance: Instance) -> str:
         return "hankel-rank1"
     if instance.family == "catalecticant":
         return "catalecticant"
-    st = instance.structure()
-    if st is not None:
+    if instance.family != "dense":
         return "primal"
     if not instance.constraints and instance.r in (1, min(instance.m, instance.n) - 1):
         return "dual-rank1"
@@ -1272,9 +1263,11 @@ def solve(instance: Instance, formulation: str = "auto",
           expected: int | None = None) -> SolutionSet:
     """Find all complex critical points of the instance.
 
-    Tracks every chart of the requested formulation, merges and deduplicates
+    Tracks the charts of the requested formulation, merges and deduplicates
     endpoints in matrix space, folds chart symmetries, classifies real points,
     and reconciles the count against the exact engine when a formula applies.
+    A seeded chart fills the fibre to the count on its own, so no further
+    chart is tracked once the points found reach it.
     """
     cfg = config or TrackerConfig()
     if formulation == "auto":
@@ -1283,11 +1276,15 @@ def solve(instance: Instance, formulation: str = "auto",
     exact, basis = _predict(instance)
     # a conjectured count is what a solve tests: it must not stop the search
     count = None if basis.startswith("conjectured") else exact
-    stats = PathStats(charts=len(charts))
+    stats = PathStats(charts=0)
     warnings: list[str] = []
     raw: list[tuple[np.ndarray, np.ndarray, float, str]] = []
     for system in charts:
+        if (stats.charts and count and system.lift is not None
+                and len(_dedup(raw, DEDUP_TOL)) >= count):
+            break
         raw.extend(solve_system(system, cfg, transfer, stats, count))
+        stats.charts += 1
     raw = _fold_symmetry(_dedup(raw, DEDUP_TOL), charts[0], DEDUP_TOL, warnings)
 
     Lam = instance.weights.as_array()

@@ -2,9 +2,11 @@
 
 A family (dense, Hankel, catalecticant, Sylvester) is described by a
 StructureMap: a grid that tells which structural coordinate sits at each
-matrix position.  Weight matrices are stored as exact rationals and only
-converted to floating point inside the solver, so the displayed weight
-patterns can be compared exactly.
+matrix position; dense is the identity structure, x_ij alone at (i, j).
+``Instance.section()`` gives an instance's admissible matrices as one linear
+space: its constraints, then the structure's rows.  Weight matrices are
+stored as exact rationals and only converted to floating point inside the
+solver, so the displayed weight patterns can be compared exactly.
 
 Instances serialize to a small JSON schema; the bundled datasets under
 slra/data are reproduction inputs for the worked examples.
@@ -13,7 +15,7 @@ slra/data are reproduction inputs for the worked examples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -334,11 +336,10 @@ class Instance:
             raise ValueError("data matrix does not match the declared format")
         if self.weights.shape != (self.m, self.n):
             raise ValueError("weight matrix does not match the declared format")
-        st = self.structure()
-        if st is not None and st.shape != (self.m, self.n):
+        if self.structure().shape != (self.m, self.n):
             raise ValueError("structure parameters inconsistent with (m, n)")
 
-    def structure(self) -> StructureMap | None:
+    def structure(self) -> StructureMap:
         if self.family == "hankel":
             return hankel_structure(int(self.params["hankel_order"]))
         if self.family == "catalecticant":
@@ -346,31 +347,33 @@ class Instance:
         if self.family == "sylvester":
             p = self.params["sylvester"]
             return sylvester_structure(int(p["m"]), int(p["n"]), int(p["k"]))
-        return None
+        m, n = self.m, self.n  # dense: the identity structure
+        return StructureMap((m, n), tuple(tuple(i * n + j for j in range(n)) for i in range(m)),
+                            tuple(f"x{i+1}{j+1}" for i in range(m) for j in range(n)))
 
     def data_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.U])
 
-    def linear_rows(self) -> np.ndarray:
-        """Rows C over the row-major vec(X) whose common kernel is the
-        linear space of admissible X: every constraint's coefficient grid,
-        and for structured families X_p - X_q for each repeated coordinate
-        and X_p for each structurally zero position."""
+    def section(self) -> tuple[np.ndarray, np.ndarray]:
+        """The linear space of admissible X as C vec(X) + c = 0, vec
+        row-major: first every constraint's coefficient grid and constant,
+        then, with constant 0, X_p - X_q for each repeated coordinate and
+        X_p for each structurally zero position (none for dense)."""
         mn = self.m * self.n
         rows = [c.coeff_array().ravel() for c in self.constraints]
-        st = self.structure()
-        if st is not None:
-            first: dict[int, int] = {}
-            for p, c in enumerate(x for row in st.grid for x in row):
-                if c is not None and c not in first:
-                    first[c] = p
-                    continue
-                row = np.zeros(mn)
-                row[p] = 1.0
-                if c is not None:
-                    row[first[c]] = -1.0
-                rows.append(row)
-        return np.array(rows).reshape(len(rows), mn)
+        consts = [float(c.constant) for c in self.constraints]
+        first: dict[int, int] = {}
+        for p, c in enumerate(x for row in self.structure().grid for x in row):
+            if c is not None and c not in first:
+                first[c] = p
+                continue
+            row = np.zeros(mn)
+            row[p] = 1.0
+            if c is not None:
+                row[first[c]] = -1.0
+            rows.append(row)
+            consts.append(0.0)
+        return np.array(rows).reshape(len(rows), mn), np.array(consts)
 
     def codimension(self) -> int:
         return len(self.constraints)
@@ -490,19 +493,17 @@ def dense_instance(m: int, n: int, r: int, seed: int, weights: str = "random",
     else:
         raise ValueError("dense weights must be 'random' or 'unit'")
     constraints = random_section(m, n, s, section, seed=int(seed) + 1) if s else ()
-    U_rows: tuple[tuple, ...]
+    inst = Instance(m=m, n=n, r=r, family="dense",
+                    U=tuple(tuple(int(x) for x in row) for row in U), weights=W,
+                    constraints=constraints, params={})
     if project_data and constraints:
-        A = np.stack([c.coeff_array().ravel() for c in constraints])
-        b = -np.array([float(c.constant) for c in constraints])
+        C, c = inst.section()
         u = U.astype(float).ravel()
         # least-norm correction onto the section
-        corr = np.linalg.lstsq(A, b - A @ u, rcond=None)[0]
-        U_rows = tuple(tuple(float(x) for x in row)
-                       for row in (u + corr).reshape(m, n))
-    else:
-        U_rows = tuple(tuple(int(x) for x in row) for row in U)
-    return Instance(m=m, n=n, r=r, family="dense", U=U_rows, weights=W,
-                    constraints=constraints, params={})
+        corr = np.linalg.lstsq(C, -c - C @ u, rcond=None)[0]
+        inst = replace(inst, U=tuple(tuple(float(x) for x in row)
+                                     for row in (u + corr).reshape(m, n)))
+    return inst
 
 
 def hankel_instance(n: int, data: Sequence, weights: str = "omega",

@@ -16,8 +16,10 @@ Formulations:
   hankel_rank1      the two-variable chart x_k = s t^k of rank-one Hankels
   catalecticant_rank2  six-parameter chart of rank-2 ternary-quartic tensors
 
-Structured instances are built directly in their structural coordinates:
-each coordinate carries the summed weight of the matrix positions it fills.
+The builders that take an Instance read everything from it: the coordinates
+of ``instance.structure()`` (dense is the identity structure, one coordinate
+per matrix position), each carrying the summed weight of the positions it
+fills, and the linear space of ``instance.section()``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .structured import (Instance, WeightMatrix, catalecticant_structure,
-                         catalecticant_theta, hankel_structure)
+from .structured import Instance, catalecticant_structure
 
 Exponent = tuple[int, ...]
 
@@ -159,12 +160,10 @@ class PolySystem:
     variables: tuple[str, ...]
     equations: list[CPoly]
     var_labels: tuple[str, ...]                 # one group label per variable
-    formulation: str
     reconstruct: Callable[[np.ndarray], np.ndarray]
     instance: Instance | None = None
     degenerate: Callable[[np.ndarray, np.ndarray, float], bool] | None = None
-    symmetry: Callable[[np.ndarray], np.ndarray] | None = None
-    symmetry_order: int = 1
+    symmetry: Callable[[np.ndarray], np.ndarray] | None = None  # an involution
     potential: CPoly | None = None
     grad_map: tuple[int | None, ...] | None = None  # var index -> equation index
     chart_tag: str = "default"
@@ -246,53 +245,16 @@ def inverse_transfer(Y: np.ndarray, Lam: np.ndarray, U: np.ndarray) -> np.ndarra
     return np.asarray(U) - np.asarray(Y) / np.asarray(Lam)
 
 
-def _instance_coordinates(instance: Instance):
-    """(structure, names, effective weights, effective data) for any family.
-
-    Dense instances use one coordinate per matrix position; structured ones
-    use their structural coordinates with position-summed weights.
-    """
-    st = instance.structure()
-    if st is None:
-        m, n = instance.m, instance.n
-        names = tuple(f"x{i+1}{j+1}" for i in range(m) for j in range(n))
-        w = [float(instance.weights.entry(i, j)) for i in range(m) for j in range(n)]
-        u = [float(instance.U[i][j]) for i in range(m) for j in range(n)]
-        return None, names, w, u
-    w = [float(x) for x in st.coordinate_weights(instance.weights)]
-    u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
-    return st, st.coord_names, w, u
-
-
-def _matrix_entry_polys(instance: Instance, nvars: int, offset: int = 0):
-    """The matrix X as a grid of CPoly in the instance's coordinates."""
-    st = instance.structure()
-    m, n = instance.m, instance.n
-    grid = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            if st is None:
-                row.append(CPoly.var(nvars, offset + i * n + j))
-            else:
-                c = st.grid[i][j]
-                row.append(CPoly.const(nvars, 0.0) if c is None
-                           else CPoly.var(nvars, offset + c))
-        grid.append(row)
-    return grid
-
-
-def _reconstruct_from_coords(instance: Instance):
-    st = instance.structure()
-    m, n = instance.m, instance.n
-
-    if st is None:
-        def rec(coords: np.ndarray) -> np.ndarray:
-            return np.asarray(coords)[: m * n].reshape(m, n)
-    else:
-        def rec(coords: np.ndarray) -> np.ndarray:
-            return st.matrix_from_coords(np.asarray(coords)[: st.n_coords])
-    return rec
+def _affine_polys(C: np.ndarray, c: np.ndarray, nvars: int) -> list[CPoly]:
+    """The rows of C x + c as polynomials in the first C.shape[1] variables."""
+    out = []
+    for row, const in zip(C.tolist(), c.tolist()):
+        p = CPoly.const(nvars, const)
+        for idx, cf in enumerate(row):
+            if cf:
+                p = p + cf * CPoly.var(nvars, idx)
+        out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,42 +270,28 @@ def primal_corank1(instance: Instance) -> PolySystem:
     together are the gradient of
       Phi = z_0 det X + sum_k z_k L_k + (1/2) sum weight (x - u)^2.
     """
-    st = instance.structure()
-    if st is None:
-        if instance.m != instance.n:
-            raise ValueError("corank-one formulation needs a square matrix")
-        if instance.r != instance.n - 1:
-            raise ValueError("corank-one formulation needs rank = n - 1")
-    else:
-        p, q = st.shape
-        if p != q:
-            raise ValueError("structured corank-one formulation needs a square format")
-        if instance.r != p - 1:
-            raise ValueError("corank-one formulation needs rank = format - 1")
-        if instance.constraints:
-            raise ValueError("structured families do not take extra constraints")
+    if instance.m != instance.n:
+        raise ValueError("corank-one formulation needs a square matrix")
+    if instance.r != instance.n - 1:
+        raise ValueError("corank-one formulation needs rank = n - 1")
+    if instance.constraints and instance.family != "dense":
+        raise ValueError("structured families do not take extra constraints")
 
-    _, names, weights, data = _instance_coordinates(instance)
+    st = instance.structure()
+    names = st.coord_names
+    weights = [float(x) for x in st.coordinate_weights(instance.weights)]
+    data = [float(x) for x in st.coords_from_matrix(instance.data_array())]
     ncoords = len(names)
     s = len(instance.constraints)
     nvars = ncoords + s + 1
     variables = names + tuple(f"z{k}" for k in range(s + 1))
     labels = ("x",) * ncoords + ("z",) * (s + 1)
 
-    det = poly_det(_matrix_entry_polys(instance, nvars))
-    constraint_polys = []
-    for c in instance.constraints:
-        p = CPoly.const(nvars, float(c.constant))
-        for i in range(instance.m):
-            for j in range(instance.n):
-                cf = float(c.coeffs[i][j])
-                if cf:
-                    # constraints act on matrix positions; map through structure
-                    stm = instance.structure()
-                    idx = i * instance.n + j if stm is None else stm.grid[i][j]
-                    if idx is not None:
-                        p = p + cf * CPoly.var(nvars, idx)
-        constraint_polys.append(p)
+    det = poly_det([[CPoly.const(nvars, 0.0) if c is None else CPoly.var(nvars, c)
+                     for c in row] for row in st.grid])
+    # a dense section: its rows over vec(X) are rows over the coordinates
+    C, const = instance.section()
+    constraint_polys = _affine_polys(C[:s], const[:s], nvars)
 
     equations = [det] + list(constraint_polys)
     for c in range(ncoords):
@@ -365,7 +313,7 @@ def primal_corank1(instance: Instance) -> PolySystem:
 
     return PolySystem(
         variables=variables, equations=equations, var_labels=labels,
-        formulation="primal", reconstruct=_reconstruct_from_coords(instance),
+        reconstruct=st.matrix_from_coords,
         instance=instance, potential=potential, grad_map=grad_map,
     )
 
@@ -417,7 +365,7 @@ def dual_rank1(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
 
     return PolySystem(
         variables=variables, equations=equations, var_labels=labels,
-        formulation="dual-rank1", reconstruct=rec, degenerate=degen,
+        reconstruct=rec, degenerate=degen,
         potential=q, grad_map=tuple(range(nvars)),
         chart_tag="default" if col_mix is None else "mixed",
     )
@@ -431,9 +379,7 @@ def rank1_direct(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
     """
     U = np.asarray(U, dtype=float)
     Lam = np.asarray(Lam, dtype=float)
-    sys_ = dual_rank1(Lam * U, 1.0 / Lam, col_mix=col_mix)
-    sys_.formulation = "rank1-direct"
-    return sys_
+    return dual_rank1(Lam * U, 1.0 / Lam, col_mix=col_mix)
 
 
 def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
@@ -450,13 +396,12 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
     solving in a second chart recovers points whose kernels are not graded
     compatibly with the plain one.
     """
-    if instance.structure() is not None:
+    if instance.family != "dense":
         raise ValueError("normal-space formulation expects matrix coordinates; "
                          "structured families have dedicated formulations")
     m, n, r = instance.m, instance.n, instance.r
-    if not 1 <= r < min(m, n):
-        raise ValueError("rank bound out of range")
-    s = len(instance.constraints)
+    C, const = instance.section()
+    s = len(const)
     a, b = m - r, n - r
     n_x, n_y, n_z, n_w = m * n, r * a, r * b, a * b + s
     nvars = n_x + n_y + n_z + n_w
@@ -513,16 +458,8 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
             for j in range(n):
                 eq = eq + xv(i, j) * zcols[k][j]
             equations.append(eq)
-    # constraints
-    constraint_polys = []
-    for c in instance.constraints:
-        p = CPoly.const(nvars, float(c.constant))
-        for i in range(m):
-            for j in range(n):
-                cf = float(c.coeffs[i][j])
-                if cf:
-                    p = p + cf * xv(i, j)
-        constraint_polys.append(p)
+    # the section
+    constraint_polys = _affine_polys(C, const, nvars)
     equations.extend(constraint_polys)
 
     # Lagrange rows: one per matrix position
@@ -537,8 +474,7 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
                 for ky in range(a):
                     widx = w_off + kz * a + ky
                     eq = eq + CPoly.var(nvars, widx) * (ycols[ky][i] * zcols[kz][j])
-            for q in range(s):
-                cf = float(instance.constraints[q].coeffs[i][j])
+            for q, cf in enumerate(C[:, i * n + j].tolist()):
                 if cf:
                     eq = eq + cf * CPoly.var(nvars, w_off + a * b + q)
             equations.append(eq)
@@ -570,7 +506,6 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
         sv = np.linalg.svd(X, compute_uv=False)
         return bool(sv[r - 1] < tol * max(sv[0], data_scale))
 
-    C = _constraint_arrays(instance)[0].reshape(s, m * n)
     ML_inv, MR_inv = np.linalg.inv(ML), np.linalg.inv(MR)
 
     def lift(X, N):
@@ -593,7 +528,7 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
 
     return PolySystem(
         variables=variables, equations=equations, var_labels=labels,
-        formulation="normal", reconstruct=_reconstruct_from_coords(instance),
+        reconstruct=instance.structure().matrix_from_coords,
         instance=instance, degenerate=degen,
         potential=potential, grad_map=grad_map,
         chart_tag="default" if left_mix is None and right_mix is None else "mixed",
@@ -607,13 +542,6 @@ def _kernel(M: np.ndarray, k: int) -> np.ndarray:
     return np.swapaxes(np.linalg.svd(M)[2][:, M.shape[2] - k:].conj(), 1, 2)
 
 
-def _constraint_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """The section as (s, m, n) coefficient grids and (s,) constants."""
-    s, m, n = len(instance.constraints), instance.m, instance.n
-    return (np.array([c.coeff_array() for c in instance.constraints]).reshape(s, m, n),
-            np.array([float(c.constant) for c in instance.constraints]))
-
-
 def normal_space_seeds(instance: Instance, k: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """k random critical pairs (X, N) for the linear inverse of the problem.
@@ -625,8 +553,9 @@ def normal_space_seeds(instance: Instance, k: int,
     read off N by the chart's ``lift``.  Both are scaled to the mean |U|.
     """
     m, n, r = instance.m, instance.n, instance.r
-    C, const = _constraint_arrays(instance)
+    C, const = instance.section()
     s = len(const)
+    C = C.reshape(s, m, n)
     Lam = instance.weights.as_array()
     scale = float(np.mean(np.abs(instance.data_array()))) or 1.0
 
@@ -649,19 +578,19 @@ def normal_space_seeds(instance: Instance, k: int,
     return X, N
 
 
-def hankel_rank1(n: int, weights: WeightMatrix, data: Sequence[float]) -> PolySystem:
+def hankel_rank1(instance: Instance) -> PolySystem:
     """Gradient system in (s, t) for rank-one Hankel approximation.
 
-    The chart x_k = s t^k parametrizes rank-one Hankel matrices of order n;
-    critical points with t = 0 are excluded by the degenerate predicate.
+    The chart x_k = s t^k parametrizes rank-one Hankel matrices of the
+    instance's order n; critical points with t = 0 are excluded by the
+    degenerate predicate.
     """
-    st = hankel_structure(n)
-    if weights.shape != st.shape:
-        raise ValueError("weight matrix does not match the Hankel format")
-    if len(data) != n:
-        raise ValueError(f"need {n} data coordinates")
-    w = [float(x) for x in st.coordinate_weights(weights)]
-    u = [float(x) for x in data]
+    if instance.family != "hankel":
+        raise ValueError("the rank-one Hankel chart needs a Hankel instance")
+    st = instance.structure()
+    n = st.n_coords
+    w = [float(x) for x in st.coordinate_weights(instance.weights)]
+    u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
 
     sv, tv = CPoly.var(2, 0), CPoly.var(2, 1)
     tpow = [CPoly.const(2, 1.0)]
@@ -686,7 +615,7 @@ def hankel_rank1(n: int, weights: WeightMatrix, data: Sequence[float]) -> PolySy
 
     return PolySystem(
         variables=("s", "t"), equations=equations, var_labels=("s", "t"),
-        formulation="hankel-rank1", reconstruct=rec, degenerate=degen,
+        reconstruct=rec, degenerate=degen,
         potential=g, grad_map=(0, 1),
     )
 
@@ -710,35 +639,21 @@ def _catalecticant_chart_polys() -> dict[str, CPoly]:
     return out
 
 
-def catalecticant_rank2(data: Mapping | Sequence[float],
-                        coeff_weights: Sequence[float] | None = None) -> PolySystem:
+def catalecticant_rank2(instance: Instance) -> PolySystem:
     """Gradient system of the rank-2 tensor objective in the 2-to-1 chart
     a (s + b t + c u)^4 + d (s + e t + f u)^4.
 
-    coeff_weights overrides the per-coordinate objective coefficients (the
-    tensor metric gives the 1/6/4/12 pattern); passing random values yields
-    the generic-weight variant of the count.  The chart double-covers the
-    rank-2 locus via (a,b,c) <-> (d,e,f), so reported counts are half the
-    filtered solution count; the degenerate locus is ad = 0 or (b,c) = (e,f).
+    Each coefficient's objective weight is its summed weight in the
+    instance's weight matrix (the tensor metric gives the 1/6/4/12 pattern).
+    The chart double-covers the rank-2 locus via (a,b,c) <-> (d,e,f), so
+    reported counts are half the filtered solution count; the degenerate
+    locus is ad = 0 or (b,c) = (e,f).
     """
-    st = catalecticant_structure()
-    if isinstance(data, Mapping):
-        normalized = {}
-        for key, value in data.items():
-            if isinstance(key, tuple):
-                key = "".join(str(int(x)) for x in key)
-            normalized[str(key)] = float(value)
-        u = [normalized[name] for name in st.coord_names]
-    else:
-        u = [float(x) for x in data]
-        if len(u) != 15:
-            raise ValueError("need 15 coefficient values")
-    if coeff_weights is None:
-        w = [float(x) for x in st.coordinate_weights(catalecticant_theta())]
-    else:
-        w = [float(x) for x in coeff_weights]
-        if len(w) != 15:
-            raise ValueError("need 15 objective coefficients")
+    if instance.family != "catalecticant":
+        raise ValueError("the rank-2 catalecticant chart needs a catalecticant instance")
+    st = instance.structure()
+    w = [float(x) for x in st.coordinate_weights(instance.weights)]
+    u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
 
     charts = _catalecticant_chart_polys()
     g = CPoly.const(6, 0.0)
@@ -770,7 +685,6 @@ def catalecticant_rank2(data: Mapping | Sequence[float],
     return PolySystem(
         variables=("a", "b", "c", "d", "e", "f"), equations=equations,
         var_labels=("a", "b", "c", "a", "b", "c"),
-        formulation="catalecticant", reconstruct=rec, degenerate=degen,
-        symmetry=swap, symmetry_order=2,
+        reconstruct=rec, degenerate=degen, symmetry=swap,
         potential=g, grad_map=tuple(range(6)),
     )

@@ -293,16 +293,13 @@ def test_criterion_10_property_suite():
     e36 = structured.load_dataset("example36")
     h5 = structured.load_dataset("hankel33")
     sc = structured.load_dataset("schultz")
-    h_coords = [float(x) for x in
-                structured.hankel_structure(5).coords_from_matrix(h5.data_array())]
-    c_coords = [float(x) for x in
-                structured.catalecticant_structure().coords_from_matrix(sc.data_array())]
     formulations = {
         "primal": systems.primal_corank1(structured.dense_instance(3, 3, 2, seed=11, s=1)),
         "dual-rank1": systems.dual_rank1(rey.data_array(), rey.weights.as_array()),
         "normal": systems.normal_space(e36),
-        "hankel-rank1": systems.hankel_rank1(5, structured.hankel_weights(5, "theta"), h_coords),
-        "catalecticant": systems.catalecticant_rank2(c_coords),
+        "hankel-rank1": systems.hankel_rank1(
+            h5.with_weights(structured.hankel_weights(5, "theta"))),
+        "catalecticant": systems.catalecticant_rank2(sc),
     }
     for name, system in formulations.items():
         err = fd_gradient_error(system, npts=20)

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
-from slra.cli import main, table1_blocks
+from slra import structured
+from slra.cli import catalecticant_count_instances, main, table1_blocks
 
 
 def run_cli(args, capsys):
@@ -161,6 +163,14 @@ def test_reproduce_gating(capsys):
     code, _, err = run_cli(["reproduce", "catalecticant-count"], capsys)
     assert code == 1
     assert "--allow-slow" in err
+
+
+def test_catalecticant_count_weights_are_the_drawn_coefficients():
+    theta, generic, coeffs = catalecticant_count_instances(1)
+    assert theta.weights == structured.catalecticant_theta()
+    assert generic.U == theta.U
+    assert generic.structure().coordinate_weights(generic.weights) == \
+        [Fraction(int(w)) for w in coeffs]
 
 
 def test_console_entry_point():

@@ -11,7 +11,7 @@ from slra.systems import CPoly, PolySystem
 
 def scalar_system(terms):
     return PolySystem(variables=("x",), equations=[CPoly(1, terms)],
-                      var_labels=("x",), formulation="test",
+                      var_labels=("x",),
                       reconstruct=lambda c: np.array([[c[0]]]))
 
 
@@ -47,7 +47,7 @@ def test_track_linear_system_oracle():
         terms[(0,) * 4] = -b[i]
         eqs.append(CPoly(4, terms))
     system = PolySystem(variables=tuple("abcd"), equations=eqs,
-                        var_labels=("v",) * 4, formulation="test",
+                        var_labels=("v",) * 4,
                         reconstruct=lambda c: c.reshape(1, 4))
     pts = sv.solve_system(system, sv.TrackerConfig(seed=2, charts=1))
     assert len(pts) == 1
@@ -200,7 +200,7 @@ def test_start_point_count_matches_bound():
 def test_overdetermined_system_needs_a_merge_block():
     x = CPoly(1, {(1,): 1.0})
     system = PolySystem(variables=("x",), equations=[x, x * 2.0],
-                        var_labels=("x",), formulation="test",
+                        var_labels=("x",),
                         reconstruct=lambda c: np.array([[c[0]]]))
     assert system.overdetermined and system.merge_block is None
     with pytest.raises(ValueError, match="merge_block"):
@@ -478,6 +478,18 @@ def test_seeded_solve_repeats_exactly():
     assert run() == run()
 
 
+def test_seeded_solve_tracks_no_chart_past_the_count():
+    # the first seeded chart fills the fibre on its own: a second chart would
+    # only find the same points again
+    inst = st.dense_instance(3, 3, 1, seed=3, s=1)
+    one = sv.solve(inst, "normal", sv.TrackerConfig(seed=3, charts=1))
+    two = sv.solve(inst, "normal", sv.TrackerConfig(seed=3, charts=2))
+    assert one.stats.start_kind == "seeded" and one.n_complex == one.predicted
+    assert two.stats.charts == 1
+    assert vars(two.stats) == vars(one.stats)
+    assert [p.X.tolist() for p in two.points] == [p.X.tolist() for p in one.points]
+
+
 # -- second-order classification ----------------------------------------------
 
 def test_sectioned_rank_one_minima_respect_the_section():
@@ -542,9 +554,9 @@ def test_matchers_on_planted_points():
     # point whose partner is missing (one warning)
     system = PolySystem(variables=("x", "y"),
                         equations=[CPoly.var(2, 0), CPoly.var(2, 1)],
-                        var_labels=("x", "y"), formulation="test",
+                        var_labels=("x", "y"),
                         reconstruct=lambda c: np.array([c]),
-                        symmetry=lambda c: c[::-1], symmetry_order=2)
+                        symmetry=lambda c: c[::-1])
     coords = [np.array([1.0, 2.0]), np.array([3.0, 3.0]),
               np.array([2.0, 1.0 + 1e-7]), np.array([4.0, 5.0])]
     points = [(c, np.array([c]), 0.0, "default", False) for c in coords]

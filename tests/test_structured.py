@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -243,7 +244,7 @@ def test_sylvester_instance_roundtrip():
 ], ids=["hankel5", "hankel6", "sylvester121", "sylvester232", "catalecticant"])
 def test_linear_rows_cut_out_the_structured_space(inst):
     structure = inst.structure()
-    rows = inst.linear_rows()
+    rows = inst.section()[0]
     X = structure.matrix_from_coords(
         np.random.default_rng(0).normal(size=structure.n_coords))
     assert np.max(np.abs(rows @ X.ravel())) < 1e-12
@@ -251,7 +252,34 @@ def test_linear_rows_cut_out_the_structured_space(inst):
 
 
 def test_linear_rows_of_dense_sections():
-    assert st.dense_instance(2, 3, 1, seed=4).linear_rows().shape == (0, 6)
+    assert st.dense_instance(2, 3, 1, seed=4).section()[0].shape == (0, 6)
     inst = st.dense_instance(2, 3, 1, seed=4, s=2, section="affine")
-    assert np.array_equal(inst.linear_rows(),
+    assert np.array_equal(inst.section()[0],
                           [c.coeff_array().ravel() for c in inst.constraints])
+    assert inst.section()[1].tolist() == [float(c.constant) for c in inst.constraints]
+    # dense is the identity structure
+    structure = inst.structure()
+    assert structure.grid == ((0, 1, 2), (3, 4, 5))
+    assert structure.coord_names == ("x11", "x12", "x13", "x21", "x22", "x23")
+
+
+@pytest.mark.parametrize("inst", [
+    st.hankel_instance(5, [1, 2, 3, 4, 5]),
+    st.sylvester_instance(1, 2, 1, [3, -2], [1, 4, -5]),
+], ids=["hankel5", "sylvester121"])
+def test_section_lists_constraints_then_structure(inst):
+    grid = np.arange(inst.m * inst.n).reshape(inst.m, inst.n) - 4
+    inst = dataclasses.replace(
+        inst, constraints=(st.LinearConstraint.from_rows(grid.tolist(), 7),))
+    C, c = inst.section()
+    assert C[0].tolist() == grid.ravel().tolist() and c[0] == 7.0
+    assert c[1:].tolist() == [0.0] * (len(C) - 1)
+    structure = inst.structure()
+    X = structure.matrix_from_coords(
+        np.random.default_rng(0).normal(size=structure.n_coords))
+    assert np.max(np.abs(C[1:] @ X.ravel())) < 1e-12
+    assert len(C) - 1 == inst.m * inst.n - structure.n_coords
+    # a structurally zero position is its own row
+    for p, coord in enumerate(x for row in structure.grid for x in row):
+        if coord is None:
+            assert np.eye(inst.m * inst.n)[p].tolist() in C[1:].tolist()

@@ -101,9 +101,7 @@ def test_normal_space_rejects_structured():
 
 def test_hankel_rank1_gradient_and_predicate():
     h5 = st.load_dataset("hankel33")
-    coords = [float(x) for x in
-              st.hankel_structure(5).coords_from_matrix(h5.data_array())]
-    system = sy.hankel_rank1(5, st.hankel_weights(5, "theta"), coords)
+    system = sy.hankel_rank1(h5.with_weights(st.hankel_weights(5, "theta")))
     assert system.variables == ("s", "t")
     assert fd_gradient_error(system) < 1e-6
     X0 = system.reconstruct(np.array([2.0, 0.5]))
@@ -116,12 +114,11 @@ def test_hankel_rank1_gradient_and_predicate():
 
 def test_catalecticant_chart_and_symmetry():
     sc = st.load_dataset("schultz")
-    coords = [float(x) for x in
-              st.catalecticant_structure().coords_from_matrix(sc.data_array())]
-    system = sy.catalecticant_rank2(coords)
-    assert system.symmetry_order == 2
+    system = sy.catalecticant_rank2(sc)
     assert fd_gradient_error(system, npts=6) < 1e-6
     p = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    # the symmetry is an involution
+    assert np.array_equal(system.symmetry(system.symmetry(p)), p)
     X = system.reconstruct(p)
     # x_400 = a + d, x_310 = ab + de, x_022 = a b^2 c^2 + d e^2 f^2
     assert X[0, 0] == pytest.approx(1 + 4)
@@ -173,7 +170,6 @@ def test_residual_function():
     eqs = [sy.CPoly(1, {(2,): 1.0, (0,): -4.0})]
     from slra.systems import PolySystem
     system = PolySystem(variables=("x",), equations=eqs, var_labels=("x",),
-                        formulation="test",
                         reconstruct=lambda c: np.array([[c[0]]]))
     assert sy.residual(system, [2.0]) == pytest.approx(0.0)
     assert sy.residual(system, [1.0]) == pytest.approx(3.0)
