@@ -1,16 +1,17 @@
 """A miniature intersection-theory engine for determinantal ED degrees.
 
-The only geometry needed here is the Chow ring of a Grassmannian Gr(r, m)
-(rank-r subbundles of the trivial rank-m bundle), extended by one projective
-bundle P(S^n) whose hyperplane class desingularizes the variety of m x n
-matrices of rank <= r.  Classes are kept in the Schubert basis
-sigma_lambda * zeta^k, which makes integrals single coefficient reads:
+The m x n matrices of rank <= r (m <= n) are resolved by the projective
+bundle P(E) over the Grassmannian Gr(r, m), with E = S^n for the tautological
+subbundle S.  Every integral over P(E) is pushed forward to Gr(r, m) through
+pi_*(zeta^(e-1+k)) = s_k(E), where s(E) = c(S)^-n = c(Q)^n, so the only ring
+needed is the Chow ring of Gr(r, m).  Classes are kept in its Schubert basis:
 
   * sigma_lambda indexed by partitions inside the r x (m-r) box,
   * general products via the Giambelli determinant expanded through iterated
     Pieri steps,
-  * the hyperplane class zeta = c1 of the dual tautological sub-line-bundle,
-    reduced through the Grothendieck relation sum_i c_i(E) zeta^(e-i) = 0,
+  * the integral of a class is its coefficient of the box class, and the
+    integral of a product of two classes pairs complementary partitions
+    without forming the product,
   * everything over exact integers, truncated eagerly above the top degree.
 
 The entry point ed_generic_determinantal(m, n, r, s) evaluates the sectional
@@ -20,7 +21,6 @@ linear space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -73,6 +73,10 @@ class GrassmannianRing:
         self.box: Partition = normalize_partition((self.cols,) * r)
         self.partitions = partitions_in_box(r, self.cols)
         self._pset = set(self.partitions)
+        # the complement in the box: sigma_lam * sigma_dual[lam] = sigma_box
+        self.dual = {lam: normalize_partition([self.cols - x for x in
+                                               (lam + (0,) * (r - len(lam)))[::-1]])
+                     for lam in self.partitions}
         self._mult_cache: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
     # -- Schubert combinatorics ---------------------------------------------
@@ -162,27 +166,11 @@ class GrassmannianRing:
 
 
 class ChowRing:
-    """Chow ring of a Grassmannian, optionally extended by one P(E).
+    """Chow ring of a Grassmannian: classes in the Schubert basis sigma_lambda."""
 
-    Without a bundle the hyperplane power is always zero.  With a bundle of
-    rank e, classes are spanned by sigma_lambda * zeta^k for 0 <= k < e, with
-    zeta^e rewritten through the Grothendieck relation
-    sum_{i=0}^{e} c_i(E) zeta^{e-i} = 0 and everything truncated above
-    dim = dim Gr + e - 1.
-    """
-
-    def __init__(self, grass: GrassmannianRing, bundle_rank: int = 0,
-                 bundle_chern: "ChowClass | None" = None):
+    def __init__(self, grass: GrassmannianRing):
         self.grass = grass
-        self.e = bundle_rank
-        if bundle_rank:
-            if bundle_chern is None:
-                raise ValueError("bundle extension needs a total Chern class")
-            self.dim = grass.dim + bundle_rank - 1
-            self._rel = [bundle_chern.graded_part(i).terms for i in range(bundle_rank + 1)]
-            self._zred: dict[int, dict[tuple[Partition, int], int]] = {}
-        else:
-            self.dim = grass.dim
+        self.dim = grass.dim
 
     # -- class constructors --------------------------------------------------
 
@@ -190,115 +178,53 @@ class ChowRing:
         return ChowClass(self, {})
 
     def one(self) -> "ChowClass":
-        return ChowClass(self, {((), 0): 1})
+        return ChowClass(self, {(): 1})
 
     def sigma(self, parts) -> "ChowClass":
         lam = normalize_partition(parts)
         if lam not in self.grass._pset:
             return self.zero()
-        return ChowClass(self, {(lam, 0): 1})
+        return ChowClass(self, {lam: 1})
 
-    def zeta(self) -> "ChowClass":
-        if not self.e:
-            raise ValueError("ring has no projective-bundle factor")
-        return ChowClass(self, {((), 1): 1})
+    def chern_sub(self) -> "ChowClass":
+        """c(S) of the tautological subbundle: c_i(S) = (-1)^i sigma_(1^i)."""
+        return sum(((-1) ** i * self.sigma((1,) * i) for i in range(self.grass.r + 1)),
+                   self.zero())
 
-    def chern_sub(self) -> "BundleExpr":
-        """Tautological subbundle S: c_i(S) = (-1)^i sigma_(1^i)."""
-        total = self.one()
-        for i in range(1, self.grass.r + 1):
-            total = total + (-1) ** i * self.sigma((1,) * i)
-        return BundleExpr(self, self.grass.r, total)
-
-    def chern_quot(self) -> "BundleExpr":
-        """Tautological quotient Q: c_i(Q) = sigma_i."""
-        total = self.one()
-        for i in range(1, self.grass.cols + 1):
-            total = total + self.sigma((i,))
-        return BundleExpr(self, self.grass.cols, total)
+    def chern_quot(self) -> "ChowClass":
+        """c(Q) of the tautological quotient: c_j(Q) = sigma_j."""
+        return sum((self.sigma((j,)) for j in range(self.grass.cols + 1)), self.zero())
 
     # -- arithmetic core -----------------------------------------------------
-
-    def _zeta_reduction(self, p: int) -> dict[tuple[Partition, int], int]:
-        """Rewrite zeta^p (p >= e) in the sigma * zeta^(<e) basis."""
-        if p < self.e:
-            return {((), p): 1}
-        cached = self._zred.get(p)
-        if cached is not None:
-            return cached
-        if p == self.e:
-            out: dict[tuple[Partition, int], int] = {}
-            for i in range(1, self.e + 1):
-                for (lam, _z), c in self._rel[i].items():
-                    k = self.e - i
-                    if sum(lam) + k > self.dim:
-                        continue
-                    key = (lam, k)
-                    out[key] = out.get(key, 0) - c
-            out = {k: v for k, v in out.items() if v}
-        else:
-            prev = self._zeta_reduction(p - 1)
-            out = {}
-            for (lam, k), c in prev.items():
-                for key, c2 in self._shift_zeta(lam, k + 1).items():
-                    v = out.get(key, 0) + c * c2
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        self._zred[p] = out
-        return out
-
-    def _shift_zeta(self, lam: Partition, k: int) -> dict[tuple[Partition, int], int]:
-        """sigma_lam * zeta^k reduced to the basis."""
-        if sum(lam) + k > self.dim:
-            return {}
-        if k < self.e or self.e == 0:
-            return {(lam, k): 1}
-        out: dict[tuple[Partition, int], int] = {}
-        for (mu, j), c in self._zeta_reduction(k).items():
-            for nu, c2 in self.grass.schubert_mult(lam, mu).items():
-                if sum(nu) + j > self.dim:
-                    continue
-                key = (nu, j)
-                v = out.get(key, 0) + c * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
 
     def multiply(self, a: "ChowClass", b: "ChowClass") -> "ChowClass":
         if a.ring is not b.ring or a.ring is not self:
             raise ValueError("classes live in different rings")
-        out: dict[tuple[Partition, int], int] = {}
-        for (lam, i), c1 in a.terms.items():
-            for (mu, j), c2 in b.terms.items():
-                if sum(lam) + sum(mu) + i + j > self.dim:
-                    continue
+        out: dict[Partition, int] = {}
+        for lam, c1 in a.terms.items():
+            for mu, c2 in b.terms.items():
                 c = c1 * c2
                 for nu, cs in self.grass.schubert_mult(lam, mu).items():
-                    for key, cz in self._shift_zeta(nu, i + j).items():
-                        v = out.get(key, 0) + c * cs * cz
-                        if v:
-                            out[key] = v
-                        else:
-                            del out[key]
+                    out[nu] = out.get(nu, 0) + c * cs
         return ChowClass(self, out)
 
     def integral(self, a: "ChowClass") -> int:
-        """Degree of the zero-cycle part: coefficient of sigma_box * zeta^(e-1)."""
-        if self.e:
-            return a.terms.get((self.grass.box, self.e - 1), 0)
-        return a.terms.get((self.grass.box, 0), 0)
+        """Degree of the zero-cycle part: the coefficient of sigma_box."""
+        return a.terms.get(self.grass.box, 0)
+
+    def pairing(self, a: "ChowClass", b: "ChowClass") -> int:
+        """The integral of a * b without forming it: sigma_lam * sigma_mu
+        integrates to 1 when mu is lam's complement in the box, else to 0."""
+        dual = self.grass.dual
+        return sum(c * b.terms.get(dual[lam], 0) for lam, c in a.terms.items())
 
 
 class ChowClass:
-    """Element of a ChowRing in the sigma_lambda * zeta^k basis."""
+    """Element of a ChowRing: Schubert coefficients keyed by partition."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: ChowRing, terms: dict[tuple[Partition, int], int]):
+    def __init__(self, ring: ChowRing, terms: dict[Partition, int]):
         self.ring = ring
         self.terms = {k: v for k, v in terms.items() if v}
 
@@ -307,11 +233,7 @@ class ChowClass:
             other = other * self.ring.one()
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+            out[k] = out.get(k, 0) + v
         return ChowClass(self.ring, out)
 
     __radd__ = __add__
@@ -346,8 +268,7 @@ class ChowClass:
 
     def graded_part(self, d: int) -> "ChowClass":
         return ChowClass(self.ring,
-                         {(lam, k): v for (lam, k), v in self.terms.items()
-                          if sum(lam) + k == d})
+                         {lam: v for lam, v in self.terms.items() if sum(lam) == d})
 
     def integral(self) -> int:
         return self.ring.integral(self)
@@ -355,83 +276,9 @@ class ChowClass:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for (lam, k), v in sorted(self.terms.items(), key=lambda t: (sum(t[0][0]) + t[0][1], t[0])):
-            name = f"s{list(lam)}" if lam else "1"
-            if k:
-                name += f"*z^{k}"
-            bits.append(f"{v}*{name}")
-        return " + ".join(bits)
-
-
-@dataclass(frozen=True)
-class BundleExpr:
-    """A vector bundle presented by its rank and total Chern class."""
-
-    ring: ChowRing
-    rank: int
-    chern: ChowClass
-
-    def chern_part(self, i: int) -> ChowClass:
-        return self.chern.graded_part(i)
-
-    def whitney(self, other: "BundleExpr") -> "BundleExpr":
-        return BundleExpr(self.ring, self.rank + other.rank, self.chern * other.chern)
-
-    def power(self, n: int) -> "BundleExpr":
-        out = BundleExpr(self.ring, 0, self.ring.one())
-        for _ in range(n):
-            out = out.whitney(self)
-        return out
-
-    def dual(self) -> "BundleExpr":
-        total = self.ring.zero()
-        for d in range(self.ring.dim + 1):
-            part = self.chern.graded_part(d)
-            total = total + ((-1) ** d) * part
-        return BundleExpr(self.ring, self.rank, total)
-
-    def tensor_line(self, ell: ChowClass) -> "BundleExpr":
-        """E tensor L for a line bundle with c1 = ell:
-        c_k = sum_i binom(rank - i, k - i) c_i(E) ell^(k-i)."""
-        ring = self.ring
-        total = ring.zero()
-        ell_pows = [ring.one()]
-        for _ in range(min(self.rank, ring.dim)):
-            ell_pows.append(ell_pows[-1] * ell)
-        for k in range(0, min(self.rank, ring.dim) + 1):
-            part = ring.zero()
-            for i in range(0, k + 1):
-                ci = self.chern_part(i)
-                if not ci.terms:
-                    continue
-                part = part + comb(self.rank - i, k - i) * (ci * ell_pows[k - i])
-            total = total + part
-        return BundleExpr(ring, self.rank, total)
-
-    def tensor(self, other: "BundleExpr") -> "BundleExpr":
-        """General tensor product via the universal polynomial in Chern roots."""
-        if self.rank == 1:
-            return other.tensor_line(self.chern_part(1))
-        if other.rank == 1:
-            return self.tensor_line(other.chern_part(1))
-        ring = self.ring
-        p, q = self.rank, other.rank
-        ca = [self.chern_part(i) for i in range(p + 1)]
-        cb = [other.chern_part(j) for j in range(q + 1)]
-        maxdeg = min(p * q, ring.dim)
-        total = ring.one()
-        for d in range(1, maxdeg + 1):
-            for (ea, eb), coeff in _tensor_universal(p, q, d):
-                term = coeff * ring.one()
-                for i, mult in enumerate(ea, start=1):
-                    for _ in range(mult):
-                        term = term * ca[i]
-                for j, mult in enumerate(eb, start=1):
-                    for _ in range(mult):
-                        term = term * cb[j]
-                total = total + term
-        return BundleExpr(ring, p * q, total)
+        return " + ".join(f"{v}*s{list(lam)}" if lam else f"{v}"
+                          for lam, v in sorted(self.terms.items(),
+                                               key=lambda t: (sum(t[0]), t[0])))
 
 
 @lru_cache(maxsize=None)
@@ -486,33 +333,41 @@ def _power_sums(names: tuple[str, ...], offset: int, rank: int, top: int) -> lis
     return sums
 
 
+@lru_cache(maxsize=None)
 def grassmannian_ring(r: int, m: int) -> ChowRing:
-    """The Chow ring of Gr(r, m) alone (no hyperplane class)."""
+    """The Chow ring of Gr(r, m), shared with its product cache by every n."""
     return ChowRing(GrassmannianRing(r, m))
 
 
-def projective_bundle(ring: ChowRing, bundle: BundleExpr) -> ChowRing:
-    """Extend by P(bundle); adjoins zeta with the Grothendieck relation."""
-    if ring.e:
-        raise ValueError("ring already carries a projective-bundle factor")
-    if bundle.rank < 1:
-        raise ValueError("projective bundle of a rank-0 bundle")
-    return ChowRing(ring.grass, bundle.rank, bundle.chern)
+@lru_cache(maxsize=None)
+def grassmannian_tangent(r: int, m: int) -> ChowClass:
+    """c(T Gr(r, m)) = c(S^dual (x) Q), where c_i(S^dual) = sigma_(1^i) and
+    c_j(Q) = sigma_j.  Each monomial of _tensor_universal is one product of a
+    shorter monomial with a single Schubert class."""
+    ring = grassmannian_ring(r, m)
+    gens = ([ring.sigma((1,) * i) for i in range(1, r + 1)]
+            + [ring.sigma((j,)) for j in range(1, m - r + 1)])
+    monomials = {(0,) * len(gens): ring.one()}
 
+    def monomial(exps: tuple[int, ...]) -> ChowClass:
+        if exps not in monomials:
+            t = next(t for t, k in enumerate(exps) if k)
+            lower = exps[:t] + (exps[t] - 1,) + exps[t + 1:]
+            monomials[exps] = monomial(lower) * gens[t]
+        return monomials[exps]
 
-@dataclass(frozen=True)
-class Desingularization:
-    """P(S^n) over Gr(r, m) mapping onto the rank <= r matrices in P^(mn-1)."""
-
-    ring: ChowRing
-    tangent: BundleExpr
-    zeta: ChowClass
-    dim: int
+    total = ring.one()
+    for d in range(1, ring.dim + 1):
+        for (ea, eb), coeff in _tensor_universal(r, m - r, d):
+            total = total + coeff * monomial(ea + eb)
+    return total
 
 
 @lru_cache(maxsize=None)
-def determinantal_desingularization(m: int, n: int, r: int) -> Desingularization:
-    """P(S^n) over Gr(r, m), assuming m <= n.
+def determinantal_desingularization(m: int, n: int, r: int) -> tuple[ChowClass, ...]:
+    """P(E) over Gr(r, m) with E = S^n, assuming m <= n, as the three classes
+    on Gr(r, m) that its integrals push forward to: c(T Gr), c(E) = c(S)^n
+    and s(E) = c(E)^-1 = c(Q)^n.
 
     The construction resolves the rank <= r locus birationally only for
     m <= n; with m > n its polar classes pick up an exceptional-locus
@@ -523,43 +378,32 @@ def determinantal_desingularization(m: int, n: int, r: int) -> Desingularization
         raise ValueError("desingularization requires m <= n; transpose first")
     if not 1 <= r <= min(m, n):
         raise ValueError("need 1 <= r <= min(m, n)")
-    base = grassmannian_ring(r, m)
-    s_chern = base.chern_sub().chern
-    e = r * n
-    chern_e = base.one()
-    for _ in range(n):
-        chern_e = chern_e * s_chern
-    ring = projective_bundle(base, BundleExpr(base, e, chern_e))
-
-    sub = ring.chern_sub()
-    quot = ring.chern_quot()
-    zeta = ring.zeta()
-    bundle_e = sub.power(n)
-
-    tangent_grass = sub.dual().tensor(quot)
-    tangent_rel = bundle_e.tensor_line(zeta)  # includes the trivial summand
-    tangent = BundleExpr(ring, ring.dim,
-                         tangent_grass.chern * tangent_rel.chern)
-    return Desingularization(ring, tangent, zeta, ring.dim)
+    ring = grassmannian_ring(r, m)
+    return grassmannian_tangent(r, m), ring.chern_sub() ** n, ring.chern_quot() ** n
 
 
 @lru_cache(maxsize=None)
 def sectional_integrals(m: int, n: int, r: int) -> tuple[int, ...]:
     """I_j = integral of c_{d-j}(T) * zeta^j over the desingularization, j = 0..d.
 
+    The Euler sequence gives c(T) = c(T Gr) * sum_i c_i(E) (1 + zeta)^(e-i),
+    and pi_*(zeta^(e-1+k)) = s_k(E), so with D = dim Gr(r, m)
+    I_j = sum_(i,k) binom(e-i, k+e-1-j) int c_(D-i-k)(T Gr) c_i(E) s_k(E).
     Transposition-invariant: the format is canonicalized to m <= n.
     """
     if m > n:
         m, n = n, m
-    des = determinantal_desingularization(m, n, r)
-    out = []
-    zpow = des.ring.one()
-    for j in range(des.dim + 1):
-        cj = des.tangent.chern_part(des.dim - j)
-        out.append((cj * zpow).integral())
-        if j < des.dim:
-            zpow = zpow * des.zeta
-    return tuple(out)
+    tangent, chern, segre = determinantal_desingularization(m, n, r)
+    ring = tangent.ring
+    top, e = ring.dim, r * n
+    pairs = {}
+    for i in range(min(top, e) + 1):
+        prod = tangent * chern.graded_part(i)
+        for k in range(top - i + 1):
+            pairs[i, k] = ring.pairing(prod.graded_part(top - k), segre.graded_part(k))
+    return tuple(sum(comb(e - i, k + e - 1 - j) * v
+                     for (i, k), v in pairs.items() if k + e - 1 - j >= 0)
+                 for j in range(top + e))
 
 
 def polar_classes_determinantal(m: int, n: int, r: int) -> list[int]:

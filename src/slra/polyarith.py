@@ -1,7 +1,10 @@
 """Exact sparse multivariate polynomials over the integers.
 
-Coefficients are Python ints, so all arithmetic is arbitrary precision; the
-Chern-class polynomials built on top of this module overflow 64 bits already
+The one user in the package is chow._tensor_chern, which writes the Chern
+classes of a tensor product (for the tangent bundle S^dual (x) Q of a
+Grassmannian) as polynomials in the Chern classes of the factors; the tests
+also build Schur polynomials with it.  Coefficients are Python ints, so all
+arithmetic is arbitrary precision; these polynomials overflow 64 bits already
 for moderate formats.  A polynomial is stored sparsely as a map from exponent
 tuples to coefficients, keyed against an ordered variable list; both operands
 of a sum or product must use the same variable list.

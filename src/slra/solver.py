@@ -1182,6 +1182,8 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
             return None, "no unit-weight formula for this case"
         q = eddegree.EDDegreeQuery(m, n, r, s, section, "generic")
         return eddegree.ed_degree(q), "generic ED degree"
+    if instance.constraints:
+        return None, "no formula for a structured family with constraints"
     if instance.family == "hankel":
         order = int(instance.params["hankel_order"])
         if instance.weights == hankel_weights(order, "omega"):

@@ -546,9 +546,11 @@ def normal_space_seeds(instance: Instance, k: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """k random critical pairs (X, N) for the linear inverse of the problem.
 
-    X = A B has rank r and lies on the section (least-norm correction of B,
-    exact when s <= r n); N = Y W Z^t + sum w_q C_q is a random vector of
-    the normal space at X.
+    X = A B lies on the section by a least-norm correction of B.  It has
+    rank r when s < r n, or when s = r n with an affine section; a linear
+    section with s = r n makes the correction solve a square M B = 0, so
+    B = 0 and every seed is the cone point X = 0.  N = Y W Z^t + sum w_q C_q
+    is a random vector of the normal space at X.
     X is then a critical point for the data X + N / Lam, with multipliers
     read off N by the chart's ``lift``.  Both are scaled to the mean |U|.
     """
@@ -587,6 +589,8 @@ def hankel_rank1(instance: Instance) -> PolySystem:
     """
     if instance.family != "hankel":
         raise ValueError("the rank-one Hankel chart needs a Hankel instance")
+    if instance.constraints:
+        raise ValueError("structured families do not take extra constraints")
     st = instance.structure()
     n = st.n_coords
     w = [float(x) for x in st.coordinate_weights(instance.weights)]
@@ -651,6 +655,8 @@ def catalecticant_rank2(instance: Instance) -> PolySystem:
     """
     if instance.family != "catalecticant":
         raise ValueError("the rank-2 catalecticant chart needs a catalecticant instance")
+    if instance.constraints:
+        raise ValueError("structured families do not take extra constraints")
     st = instance.structure()
     w = [float(x) for x in st.coordinate_weights(instance.weights)]
     u = [float(x) for x in st.coords_from_matrix(instance.data_array())]

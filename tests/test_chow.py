@@ -7,6 +7,7 @@ e_i(all roots) = 0, under which every class whose partition leaves the
 r x (m-r) box is zero.  It is deliberately independent of the engine.
 """
 
+import hashlib
 import math
 import random
 
@@ -147,46 +148,59 @@ def test_tensor_universal_on_integer_roots(p, q):
             assert got == want[d], (a, b, d)
 
 
-# -- projective bundle --------------------------------------------------------
+# -- push-forward to the Grassmannian ----------------------------------------
 
-def test_projective_space_relation():
-    # trivial rank-(n+1) bundle over a point: zeta^(n+1) = 0, integral zeta^n = 1
-    for n in (1, 2, 4):
-        base = chow.grassmannian_ring(1, 1)
-        triv = chow.BundleExpr(base, n + 1, base.one())
-        ring = chow.projective_bundle(base, triv)
-        zeta = ring.zeta()
-        assert ring.dim == n
-        assert (zeta ** n).integral() == 1
-        assert (zeta ** (n + 1)) == ring.zero()
+SMALL_GRASSMANNIANS = [(r, m) for m in range(1, 6) for r in range(1, m + 1)]
 
 
-def test_desingularization_dimensions():
-    des = chow.determinantal_desingularization(3, 3, 1)
-    assert des.dim == 4  # matches the rank-one variety of 3x3 matrices
-    des2 = chow.determinantal_desingularization(4, 4, 2)
-    assert des2.ring.e == 8
-    assert des2.dim == 11
+@pytest.mark.parametrize("r,m", SMALL_GRASSMANNIANS)
+def test_complement_pairing_is_the_product_integral(r, m):
+    ring = chow.grassmannian_ring(r, m)
+    parts = ring.grass.partitions
+    for lam in parts:
+        for mu in parts:
+            if sum(lam) + sum(mu) != ring.dim:
+                continue
+            a, b = ring.sigma(lam), ring.sigma(mu)
+            assert ring.pairing(a, b) == (a * b).integral(), (lam, mu)
 
 
-def test_projective_bundle_needs_rank():
-    base = chow.grassmannian_ring(1, 2)
+@pytest.mark.parametrize("r,m", [(1, 3), (2, 4), (2, 5), (3, 6)])
+def test_segre_class_inverts_chern_class(r, m):
+    # s(S^n) = c(Q)^n is the inverse of c(S^n) = c(S)^n
+    ring = chow.grassmannian_ring(r, m)
+    for n in (1, 2, 3):
+        assert ring.chern_sub() ** n * ring.chern_quot() ** n == ring.one()
+
+
+@pytest.mark.parametrize("r,m", SMALL_GRASSMANNIANS + [(3, 6)])
+def test_grassmannian_tangent_top_class_is_euler_characteristic(r, m):
+    # the Schubert cells of Gr(r, m) number binom(m, r)
+    tangent = chow.grassmannian_tangent(r, m)
+    assert tangent.graded_part(r * (m - r)).integral() == math.comb(m, r)
+
+
+def test_grassmannian_tangent_of_projective_space():
+    # Gr(1, m) = P^(m-1), whose tangent Chern class is (1 + sigma_1)^m
+    for m in range(2, 6):
+        ring = chow.grassmannian_ring(1, m)
+        assert chow.grassmannian_tangent(1, m) == (ring.one() + ring.sigma((1,))) ** m
+
+
+def test_sectional_integrals_on_projective_space():
+    # (m, n, r) = (1, n, 1): the desingularization is P^(n-1), where the Euler
+    # sequence gives c(T) = (1 + zeta)^n, so I_j = binom(n, n - 1 - j)
+    for n in range(2, 6):
+        assert chow.sectional_integrals(1, n, 1) == \
+            tuple(math.comb(n, n - 1 - j) for j in range(n))
+
+
+def test_desingularization_rejects_bad_formats():
     with pytest.raises(ValueError):
-        chow.projective_bundle(base, chow.BundleExpr(base, 0, base.one()))
-
-
-def test_tangent_euler_sequence_on_projective_space():
-    # (m, n, r) = (1, n, 1): the desingularization is P^(n-1) and the tangent
-    # Chern class is (1 + zeta)^n truncated
-    des = chow.determinantal_desingularization(1, 4, 1)
-    zeta = des.zeta
-    expect = des.ring.one()
-    acc = des.ring.one()
-    from math import comb
-    total = des.ring.zero() + 1
-    for k in range(1, des.dim + 1):
-        total = total + comb(4, k) * zeta ** k
-    assert des.tangent.chern == total
+        chow.determinantal_desingularization(4, 3, 2)
+    for r in (0, 4):
+        with pytest.raises(ValueError):
+            chow.determinantal_desingularization(3, 5, r)
 
 
 @pytest.mark.parametrize("m,n,expect", [
@@ -217,6 +231,19 @@ def test_ed_generic_8x8():
     assert chow.ed_generic_determinantal(8, 8, 3, 10) == 880266533192
     assert chow.ed_generic_determinantal(8, 8, 3, 30) == 77169361944
     assert chow.ed_generic_determinantal(8, 8, 5, 50) == 50244768
+
+
+# SHA-256 of the lines "m n r s value" (joined by newlines) for every
+# m <= n <= 7, 1 <= r <= m and 0 <= s < mn: 1,974 values
+GRID_DIGEST = "aaf3708489672c3d87d62a5ca15632d4175a7a5cfed251b3ecfc471d4600eb9a"
+
+
+def test_exact_grid_digest():
+    rows = [f"{m} {n} {r} {s} {chow.ed_generic_determinantal(m, n, r, s)}"
+            for n in range(1, 8) for m in range(1, n + 1) for r in range(1, m + 1)
+            for s in range(m * n)]
+    assert len(rows) == 1974
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == GRID_DIGEST
 
 
 def test_ed_symmetry_in_format():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -362,6 +363,16 @@ def test_rank_one_weights_predict_the_unit_weight_count(weights, data, seed):
     ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=seed))
     assert ss.predicted == 2 == ss.n_complex
     assert not st.WeightMatrix.from_rows([[1, 2], [3, 4]]).is_rank_one()
+
+
+def test_structured_instance_with_constraints_has_no_prediction():
+    # the generic Hankel ED degree counts the unsectioned locus only
+    hankel = st.load_dataset("hankel33").with_rank(1)
+    assert sv._predict(hankel)[0] == 10
+    cut = dataclasses.replace(hankel, constraints=st.random_section(3, 3, 1, seed=5))
+    assert sv._predict(cut)[0] is None
+    with pytest.raises(ValueError, match="extra constraints"):
+        sv.solve(cut, "auto", sv.TrackerConfig(seed=1))
 
 
 def test_dedup_prefers_clean_representatives():

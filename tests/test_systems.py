@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,21 @@ def test_catalecticant_chart_and_symmetry():
     assert system.degenerate(np.array([0.0, 2, 3, 4, 5, 6]), X, 1e-8)
     assert system.degenerate(np.array([1.0, 2, 3, 4, 2, 3]), X, 1e-8)
     assert not system.degenerate(p, X, 1e-8)
+
+
+def _with_constraint(instance):
+    section = st.random_section(instance.m, instance.n, 1, "linear", seed=5)
+    return dataclasses.replace(instance, constraints=section)
+
+
+def test_structured_charts_reject_constraints():
+    # the charts parametrize the whole structured locus, so a constraint
+    # would be dropped silently instead of cutting the locus
+    hankel = _with_constraint(st.load_dataset("hankel33").with_rank(1))
+    with pytest.raises(ValueError, match="extra constraints"):
+        sy.hankel_rank1(hankel)
+    with pytest.raises(ValueError, match="extra constraints"):
+        sy.catalecticant_rank2(_with_constraint(st.load_dataset("schultz")))
 
 
 # -- transfers, objective, oracles --------------------------------------------
