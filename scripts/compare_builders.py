@@ -10,10 +10,12 @@ diff the outputs:
 
     PYTHONPATH=src python3 scripts/compare_builders.py > builders.txt
 
-Checkouts that predate ``Instance.section()`` and the instance-reading
-``hankel_rank1``/``catalecticant_rank2`` are read through their older
-forms (``linear_rows``, coordinate lists, ``coeff_weights``), which the
-shims below translate.
+Checkouts that predate ``polyarith.Poly`` build their systems from
+``systems.CPoly``, whose coefficients are all complex; both are fingerprinted
+by the value of each coefficient.  Checkouts that predate
+``Instance.section()`` and the instance-reading ``hankel_rank1``/
+``catalecticant_rank2`` are read through their older forms (``linear_rows``,
+coordinate lists, ``coeff_weights``), which the shims below translate.
 """
 
 from __future__ import annotations
@@ -22,14 +24,19 @@ import hashlib
 
 import numpy as np
 
-from slra import cli, solver, structured, systems
+from slra import cli, polyarith, solver, structured, systems
+
+# the polynomial type: polyarith.Poly, or systems.CPoly in older checkouts
+POLY = getattr(polyarith, "Poly", None) or systems.CPoly
 
 
 def _bits(obj) -> str:
     if isinstance(obj, np.ndarray):
         return f"{obj.shape}{obj.dtype}{obj.tobytes().hex()}"
-    if isinstance(obj, systems.CPoly):
-        return repr([(e, c.real.hex(), c.imag.hex()) for e, c in obj.terms.items()])
+    if isinstance(obj, POLY):
+        # the value of each coefficient, whatever its type (int, float, complex)
+        return repr([(e, complex(c).real.hex(), complex(c).imag.hex())
+                     for e, c in obj.terms.items()])
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_bits(x) for x in obj) + "]"
     if isinstance(obj, float):
@@ -104,8 +111,8 @@ def cases():
                 X, N = systems.normal_space_seeds(inst, 4, np.random.default_rng(seed))
                 yield name + " seeds", [X, N]
                 for system in charts:
-                    yield (f"{name} normal {system.chart_tag}",
-                           _system(system) + [_lift(system, X, N)])
+                    yield f"{name} normal {system.chart_tag}", _system(system)
+                    yield f"{name} normal {system.chart_tag} lift", _lift(system, X, N)
     hankel = structured.load_dataset("hankel33")
     for kind in ("omega", "ones", "theta"):
         inst = hankel.with_weights(structured.hankel_weights(5, kind))

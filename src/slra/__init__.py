@@ -2,7 +2,7 @@
 low-rank approximation.
 
 Modules
-    polyarith   exact sparse integer polynomials
+    polyarith   sparse polynomials: exact int or float/complex coefficients
     chow        Schubert-calculus engine for determinantal ED degrees
     eddegree    closed-form sectional ED degree calculators
     structured  matrix families, weights, instances, datasets

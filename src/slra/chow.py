@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from .polyarith import ExactPoly
+from .polyarith import Poly
 
 Partition = tuple[int, ...]
 
@@ -292,41 +292,38 @@ def _tensor_universal(p: int, q: int, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _tensor_chern(p: int, q: int) -> tuple[ExactPoly, ...]:
+def _tensor_chern(p: int, q: int) -> tuple[Poly, ...]:
     """c_0..c_pq(A (x) B) for ranks p, q, in Z[e_1..e_p, f_1..f_q].
 
-    The variables are e_i = c_i(A) and f_j = c_j(B); the roots never appear.
-    Newton's identities give the power sums p_k(A), p_k(B); the Chern
-    character is multiplicative, so p_k(A (x) B) = sum_l binom(k, l)
+    The p + q variables are e_i = c_i(A), then f_j = c_j(B); the roots never
+    appear.  Newton's identities give the power sums p_k(A), p_k(B); the
+    Chern character is multiplicative, so p_k(A (x) B) = sum_l binom(k, l)
     p_l(A) p_(k-l)(B); and Newton's identities back give
     k c_k = sum_i (-1)^(i-1) c_(k-i) p_i, an exact division by k.
     """
-    names = (tuple(f"e{i}" for i in range(1, p + 1))
-             + tuple(f"f{j}" for j in range(1, q + 1)))
+    n = p + q
     top = p * q
-    zero = ExactPoly(names)
-    pa = _power_sums(names, 0, p, top)
-    pb = _power_sums(names, p, q, top)
+    zero = Poly(n)
+    pa = _power_sums(n, 0, p, top)
+    pb = _power_sums(n, p, q, top)
     psum = [sum((comb(k, l) * pa[l] * pb[k - l] for l in range(k + 1)), zero)
             for k in range(top + 1)]
-    chern = [ExactPoly.constant(1, names)]
+    chern = [Poly.const(n, 1)]
     for k in range(1, top + 1):
         acc = sum(((-1) ** (i - 1) * chern[k - i] * psum[i] for i in range(1, k + 1)), zero)
         if any(c % k for c in acc.terms.values()):
             raise ArithmeticError(f"c_{k} of a tensor product is not integral")
-        chern.append(ExactPoly(names, {e: c // k for e, c in acc.terms.items()}))
+        chern.append(Poly(n, {e: c // k for e, c in acc.terms.items()}))
     return tuple(chern)
 
 
-def _power_sums(names: tuple[str, ...], offset: int, rank: int, top: int) -> list[ExactPoly]:
-    """p_0..p_top of `rank` roots with e_i = names[offset + i - 1], by Newton:
-    p_k = sum_(i<k) (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k."""
-    nvars = len(names)
-    elem = {i: ExactPoly(names, {tuple(int(j == offset + i - 1) for j in range(nvars)): 1})
-            for i in range(1, rank + 1)}
-    sums = [ExactPoly.constant(rank, names)]
+def _power_sums(n: int, offset: int, rank: int, top: int) -> list[Poly]:
+    """p_0..p_top of `rank` roots with e_i the variable offset + i - 1 of n,
+    by Newton: p_k = sum_(i<k) (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k."""
+    elem = {i: Poly.var(n, offset + i - 1) for i in range(1, rank + 1)}
+    sums = [Poly.const(n, rank)]
     for k in range(1, top + 1):
-        acc = (-1) ** (k - 1) * k * elem[k] if k <= rank else ExactPoly(names)
+        acc = (-1) ** (k - 1) * k * elem[k] if k <= rank else Poly(n)
         for i in range(1, min(k - 1, rank) + 1):
             acc = acc + (-1) ** (i - 1) * elem[i] * sums[k - i]
         sums.append(acc)

@@ -1,15 +1,12 @@
-"""Exact sparse multivariate polynomials over the integers.
+"""Sparse multivariate polynomials: the one polynomial type of the package.
 
-The one user in the package is chow._tensor_chern, which writes the Chern
-classes of a tensor product (for the tangent bundle S^dual (x) Q of a
-Grassmannian) as polynomials in the Chern classes of the factors; the tests
-also build Schur polynomials with it.  Coefficients are Python ints, so all
-arithmetic is arbitrary precision; these polynomials overflow 64 bits already
-for moderate formats.  A polynomial is stored sparsely as a map from exponent
-tuples to coefficients, keyed against an ordered variable list; both operands
-of a sum or product must use the same variable list.
-
-Everything is a plain value: no mutation after construction, safe to share.
+A Poly in n variables maps exponent tuples of length n to coefficients; the
+operands of a sum or product must have the same n.  Coefficients keep their
+type: Python ints stay exact at any size (chow._tensor_chern's Chern classes
+of a tensor product overflow 64 bits already for moderate formats; the tests
+build Schur polynomials the same way), floats and complex numbers make the
+critical equations of ``systems``.  A scalar factor scales the terms.  Values
+are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -19,114 +16,128 @@ from typing import Mapping, Sequence
 Exponent = tuple[int, ...]
 
 
-class ExactPoly:
-    """Sparse multivariate polynomial with exact integer coefficients."""
+class Poly:
+    """Sparse polynomial in n positional variables."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int] | None = None):
-        self.variables: tuple[str, ...] = tuple(variables)
-        clean: dict[Exponent, int] = {}
+    def __init__(self, n: int, terms: Mapping[Exponent, object] | None = None):
+        self.n = n
+        self.terms: dict[Exponent, object] = {}
         if terms:
-            nv = len(self.variables)
-            for exps, coeff in terms.items():
-                if len(exps) != nv:
-                    raise ValueError(f"exponent vector {exps} does not match {nv} variables")
-                if coeff:
-                    clean[tuple(exps)] = int(coeff)
-        self.terms: dict[Exponent, int] = clean
+            for e, c in terms.items():
+                if len(e) != n:
+                    raise ValueError(f"exponent vector {e} does not match {n} variables")
+                if c != 0:
+                    self.terms[tuple(e)] = c
 
     @classmethod
-    def constant(cls, value: int, variables: Sequence[str] = ()) -> "ExactPoly":
-        if value == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+    def const(cls, n: int, c) -> "Poly":
+        return cls(n, {(0,) * n: c})
 
-    def _coerce(self, other) -> "ExactPoly":
-        if isinstance(other, int):
-            return ExactPoly.constant(other, self.variables)
-        if not isinstance(other, ExactPoly):
-            return NotImplemented
-        if other.variables != self.variables:
-            raise ValueError(f"variables {other.variables} differ from {self.variables}")
-        return other
+    @classmethod
+    def var(cls, n: int, i: int) -> "Poly":
+        e = [0] * n
+        e[i] = 1
+        return cls(n, {tuple(e): 1})
+
+    def _check(self, other: "Poly") -> None:
+        if other.n != self.n:
+            raise ValueError(f"operands in {other.n} and {self.n} variables differ")
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "ExactPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            self._check(other)
+        else:
+            other = Poly.const(self.n, other)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = out.get(exps, 0) + coeff
-            if c:
-                out[exps] = c
+        for e, c in other.terms.items():
+            v = out.get(e, 0) + c
+            if v != 0:
+                out[e] = v
             else:
-                out.pop(exps, None)
-        return ExactPoly(self.variables, out)
+                out.pop(e, None)
+        return Poly(self.n, out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ExactPoly":
-        return ExactPoly(self.variables, {e: -c for e, c in self.terms.items()})
+    def __neg__(self) -> "Poly":
+        return Poly(self.n, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other) -> "ExactPoly":
-        return self + (-other if isinstance(other, ExactPoly) else -int(other))
+    def __sub__(self, other) -> "Poly":
+        return self + (-other)
 
-    def __mul__(self, other) -> "ExactPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            return Poly(self.n, {e: c * other for e, c in self.terms.items()})
+        self._check(other)
         return self._mul(other)
 
     __rmul__ = __mul__
 
-    def _mul(self, other: "ExactPoly") -> "ExactPoly":
-        out: dict[Exponent, int] = {}
+    def _mul(self, other: "Poly") -> "Poly":
+        out: dict[Exponent, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                c = out.get(exps, 0) + c1 * c2
-                if c:
-                    out[exps] = c
-                else:
-                    del out[exps]
-        return ExactPoly(self.variables, out)
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly(self.n, out)
 
-    def __pow__(self, n: int) -> "ExactPoly":
-        if n < 0:
+    def __pow__(self, k: int) -> "Poly":
+        if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = ExactPoly.constant(1, self.variables)
-        for _ in range(n):
+        result = Poly.const(self.n, 1)
+        for _ in range(k):
             result = result._mul(self)
         return result
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
+        self._check(other)
         return self.terms == other.terms
 
-    # -- queries -----------------------------------------------------------
+    # -- calculus and queries ----------------------------------------------
 
-    def coeff(self, exps: Sequence[int]) -> int:
-        """Exact coefficient of the given exponent vector (0 if absent)."""
+    def diff(self, i: int) -> "Poly":
+        out: dict[Exponent, object] = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                d = list(e)
+                d[i] -= 1
+                key = tuple(d)
+                out[key] = out.get(key, 0) + c * e[i]
+        return Poly(self.n, out)
+
+    def eval(self, x: Sequence):
+        total = 0
+        for e, c in self.terms.items():
+            v = c
+            for xi, ei in zip(x, e):
+                if ei:
+                    v = v * xi ** ei
+            total += v
+        return total
+
+    def coeff(self, exps: Sequence[int]):
+        """The coefficient of the given exponent vector (0 if absent)."""
         exps = tuple(exps)
-        if len(exps) != len(self.variables):
+        if len(exps) != self.n:
             raise ValueError("exponent vector length mismatch")
         return self.terms.get(exps, 0)
+
+    def degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def degree_on(self, indices: Sequence[int]) -> int:
+        idx = list(indices)
+        return max((sum(e[i] for i in idx) for e in self.terms), default=-1)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps in sorted(self.terms):
-            mono = "*".join(f"{v}^{e}" if e > 1 else v
-                            for v, e in zip(self.variables, exps) if e)
-            c = self.terms[exps]
-            bits.append(f"{c}{'*' + mono if mono else ''}")
-        return " + ".join(bits)
+
+# the benchmark's tracer wraps polyarith.ExactPoly._mul; this name is for it
+ExactPoly = Poly

@@ -39,7 +39,8 @@ import numpy as np
 
 from . import eddegree, systems
 from .structured import Instance, hankel_weights
-from .systems import CPoly, PolySystem
+from .polyarith import Poly
+from .systems import PolySystem
 
 ACTIVE, CONVERGED, DIVERGED, SINGULAR, FAILED = 0, 1, 2, 3, 4
 
@@ -85,13 +86,13 @@ class CompiledSystem:
     per factor slot, whatever the number of variables and monomials.
     """
 
-    def __init__(self, equations: Sequence[CPoly], nvars: int):
+    def __init__(self, equations: Sequence[Poly], nvars: int):
         self.nvars = nvars
         self.neqs = len(equations)
         derivs = [[eq.diff(v) for v in range(nvars)] for eq in equations]
         monomials: dict[tuple[int, ...], int] = {}
 
-        def touch(p: CPoly):
+        def touch(p: Poly):
             for e in p.terms:
                 if e not in monomials:
                     monomials[e] = len(monomials)
@@ -117,7 +118,7 @@ class CompiledSystem:
 
         from scipy.sparse import csr_matrix
 
-        def pack(polys: list[CPoly], width: int) -> csr_matrix:
+        def pack(polys: list[Poly], width: int) -> csr_matrix:
             rows, cols, vals = [], [], []
             for j, p in enumerate(polys):
                 for e, c in p.terms.items():
@@ -190,7 +191,7 @@ class PowerStart:
         return vals, jac
 
 
-def total_degree_start(equations: Sequence[CPoly], rng: np.random.Generator):
+def total_degree_start(equations: Sequence[Poly], rng: np.random.Generator):
     """x_i^{d_i} - c_i with random unit-modulus c_i; lazily enumerated roots."""
     nvars = len(equations)
     degrees = [eq.degree() for eq in equations]
@@ -265,7 +266,7 @@ class MultihomogStart:
     one evaluation costs O(F) array operations, whatever ne and nvars are.
     """
 
-    def __init__(self, equations: Sequence[CPoly], groups: list[list[int]],
+    def __init__(self, equations: Sequence[Poly], groups: list[list[int]],
                  nvars: int, rng: np.random.Generator):
         self.nvars = nvars
         self.groups = groups
@@ -382,7 +383,7 @@ class MultihomogStart:
             yield out
 
 
-def choose_start(squared: Sequence[CPoly], label_indices: dict[str, list[int]],
+def choose_start(squared: Sequence[Poly], label_indices: dict[str, list[int]],
                  nvars: int, rng: np.random.Generator):
     """Pick the best multihomogeneous grouping, or total-degree when no
     grouping needs fewer paths.
@@ -418,7 +419,7 @@ def choose_start(squared: Sequence[CPoly], label_indices: dict[str, list[int]],
     return start, count, gen, "total-degree"
 
 
-def normalize_equations(equations: Sequence[CPoly]) -> list[CPoly]:
+def normalize_equations(equations: Sequence[Poly]) -> list[Poly]:
     """Scale each equation to unit max coefficient.
 
     The critical systems mix O(1) bilinear rows with weight-times-data rows
@@ -432,7 +433,7 @@ def normalize_equations(equations: Sequence[CPoly]) -> list[CPoly]:
     return out
 
 
-def square_up(system: PolySystem, rng: np.random.Generator) -> list[CPoly]:
+def square_up(system: PolySystem, rng: np.random.Generator) -> list[Poly]:
     """Random combinations reducing an overdetermined system to a square one.
 
     An overdetermined system declares a merge block (the equations carrying
@@ -453,8 +454,8 @@ def square_up(system: PolySystem, rng: np.random.Generator) -> list[CPoly]:
         + 1j * rng.normal(size=(target, len(block)))
     out = []
     for row in mix:
-        eq = CPoly.const(system.n_vars, 0.0)
-        for c, i in zip(row, block):
+        eq = Poly.const(system.n_vars, 0.0)
+        for c, i in zip(row.tolist(), block):
             eq = eq + c * system.equations[i]
         out.append(eq)
     out.extend(eq for i, eq in enumerate(system.equations) if i not in set(block))
@@ -550,26 +551,15 @@ class Homotopy:
         sol, ok = _batched_solve(hx, -ht)
         return sol, ok
 
-    def end_system(self, rows):
-        """The system at t = 1 for the paths ``rows``."""
-        if self.start is not None:
-            return self.f
-        return _Shifted(self.f, self.offsets[1][rows])
+    def end_eval(self, x: np.ndarray, rows) -> np.ndarray:
+        """F + b, the system at t = 1, at the paths ``rows`` (b = 0 after a
+        start system)."""
+        fv = self.f.eval(x)
+        return fv if self.start is not None else fv + self.offsets[1][rows]
 
-
-class _Shifted:
-    """F + b, per-path constant offsets b: a parameter homotopy's end system."""
-
-    def __init__(self, f: CompiledSystem, b: np.ndarray):
-        self.f, self.b = f, b
-        self.coeff_scale = f.coeff_scale
-
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        return self.f.eval(x) + self.b
-
-    def eval_and_jac(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def end_eval_and_jac(self, x: np.ndarray, rows):
         fv, fj = self.f.eval_and_jac(x)
-        return fv + self.b, fj
+        return (fv if self.start is not None else fv + self.offsets[1][rows]), fj
 
 
 def track_batch(hom: Homotopy, x0: np.ndarray):
@@ -601,24 +591,6 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
         pred = xa + (ha[:, None] / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return pred, ok1 & ok2 & ok3 & ok4
 
-    def newton(xa, ta, ra, iters, tol):
-        xc = xa.copy()
-        conv = np.zeros(xa.shape[0], dtype=bool)
-        pending = np.arange(xa.shape[0])
-        for _ in range(iters):
-            if pending.size == 0:
-                break
-            hv, hx, _ = hom.eval_jac(xc[pending], ta[pending], ra[pending])
-            delta, ok = _batched_solve(hx, -hv)
-            moved = xc[pending] + np.where(ok[:, None], delta, 0.0)
-            xc[pending] = moved
-            dn = np.max(np.abs(delta), axis=1)
-            scale = 1.0 + np.max(np.abs(moved), axis=1)
-            hit = ok & (dn < tol * scale)
-            conv[pending[hit]] = True
-            pending = pending[~hit & ok]
-        return xc, conv
-
     while True:
         act = np.nonzero(status == ACTIVE)[0]
         if act.size == 0:
@@ -630,7 +602,9 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
         ha = np.minimum(h[act], np.maximum(0.5 * (1.0 - ta), 1e-10))
 
         pred, pok = rk4(xa, ta, ha, act)
-        xc, cok = newton(pred, ta + ha, act, 3, TRACK_TOL)
+        tn = ta + ha
+        xc, cok, _ = _newton(lambda i, z: hom.eval_jac(z, tn[i], act[i])[:2],
+                             pred, 3, TRACK_TOL)
         accept = pok & cok & np.isfinite(xc).all(axis=1)
 
         ia = act[accept]
@@ -659,7 +633,7 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
 
         done = np.nonzero((status == ACTIVE) & (t >= 1.0 - 2e-10))[0]
         if done.size:
-            xe, conv = newton_target(hom.end_system(done), x[done])
+            xe, conv = newton_target(hom, x[done], done)
             endpoint[done] = xe
             # unbounded endpoints that fail the final Newton are at infinity,
             # not singular
@@ -682,29 +656,40 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
 
 
 def _newton(eval_and_jac, x: np.ndarray, iters: int, tol: float):
-    """Newton's method on a batch of square systems; returns the iterates and
-    the mask of rows whose every linear solve succeeded.  Stops once each of
-    those rows moves by less than tol relative to its size."""
-    xc = x.astype(complex)
+    """Newton's method on a batch of systems, the Gauss-Newton step where
+    the Jacobian is tall.  eval_and_jac(idx, x[idx]) gives the values and
+    Jacobians at the rows idx still iterating; a row stops once its step is
+    below tol (1 + |x|) or a solve fails.  Returns the iterates, the
+    converged rows and the rows whose every solve succeeded."""
+    xc = x.copy()
+    conv = np.zeros(x.shape[0], dtype=bool)
     ok = np.ones(x.shape[0], dtype=bool)
+    idx = np.arange(x.shape[0])
     for _ in range(iters):
-        fv, fj = eval_and_jac(xc)
-        delta, solvable = _batched_solve(fj, -fv)
-        ok &= solvable
-        xc = np.where(solvable[:, None], xc + delta, xc)
-        dn = np.max(np.abs(delta), axis=1)
-        scale = 1.0 + np.max(np.abs(xc), axis=1)
-        if np.all(dn[ok] < tol * scale[ok]) if ok.any() else True:
+        if idx.size == 0:
             break
-    return xc, ok
+        fv, fj = eval_and_jac(idx, xc[idx])
+        if fj.shape[1] > fj.shape[2]:
+            jh = np.conj(np.swapaxes(fj, 1, 2))
+            fj, fv = jh @ fj, (jh @ fv[..., None])[..., 0]
+        delta, solved = _batched_solve(fj, -fv)
+        moved = xc[idx] + np.where(solved[:, None], delta, 0.0)
+        xc[idx] = moved
+        hit = solved & (np.max(np.abs(delta), axis=1)
+                        < tol * (1.0 + np.max(np.abs(moved), axis=1)))
+        conv[idx[hit]] = True
+        ok[idx[~solved]] = False
+        idx = idx[solved & ~hit]
+    return xc, conv, ok
 
 
-def newton_target(f, x: np.ndarray, iters: int = 12):
-    """Newton on the target system F alone (square systems)."""
-    xc, ok = _newton(f.eval_and_jac, x, iters, NEWTON_TOL)
-    fv = f.eval(xc)
-    res = np.max(np.abs(fv), axis=1)
-    conv = ok & np.isfinite(res) & (res < 1e-6 * (1.0 + f.coeff_scale)) \
+def newton_target(hom: Homotopy, x: np.ndarray, rows: np.ndarray, iters: int = 12):
+    """Newton on the system at t = 1 alone (square systems) for the paths
+    ``rows``."""
+    xc, _, ok = _newton(lambda i, z: hom.end_eval_and_jac(z, rows[i]), x,
+                        iters, NEWTON_TOL)
+    res = np.max(np.abs(hom.end_eval(xc, rows)), axis=1)
+    conv = ok & np.isfinite(res) & (res < 1e-6 * (1.0 + hom.f.coeff_scale)) \
         & np.isfinite(xc).all(axis=1)
     return xc, conv
 
@@ -721,8 +706,9 @@ def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray):
     alive = np.ones(x.shape[0], dtype=bool)
     for _ in range(14):
         tc = 1.0 - (1.0 - tc) * 0.5
-        xc2, conv = _newton(lambda z: hom.eval_jac(z, tc, rows)[:2], xc, 12, 1e-8)
-        alive &= conv & (np.max(np.abs(xc2), axis=1) < DIV_THRESHOLD)
+        xc2, _, ok = _newton(lambda i, z: hom.eval_jac(z, tc[i], rows[i])[:2],
+                             xc, 12, 1e-8)
+        alive &= ok & (np.max(np.abs(xc2), axis=1) < DIV_THRESHOLD)
         xc = np.where(alive[:, None], xc2, xc)
         samples.append(xc.copy())
     # Aitken-style limit from the last three samples
@@ -734,59 +720,37 @@ def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray):
                      np.sum((d2 * np.conj(d1 - d2)), axis=1) / np.where(small, 1.0, denom))
     ratio = np.clip(np.abs(ratio), 0.0, 0.95) * np.exp(1j * np.angle(ratio))
     limit = s2 + d2 * (ratio / (1.0 - ratio))[:, None]
-    end = hom.end_system(rows)
-    res = np.max(np.abs(end.eval(limit)), axis=1)
-    got = alive & (res < 1e-4 * (1.0 + end.coeff_scale))
+    res = np.max(np.abs(hom.end_eval(limit, rows)), axis=1)
+    got = alive & (res < 1e-4 * (1.0 + hom.f.coeff_scale))
     return limit, got
 
 
-def refine_full(system: PolySystem, compiled_full: CompiledSystem,
-                points: np.ndarray) -> np.ndarray:
+def refine_full(compiled_full: CompiledSystem, points: np.ndarray) -> np.ndarray:
     """Gauss-Newton refinement on the original (possibly overdetermined)
     system, with a mixed-precision ultimate pass for the survivors."""
     if points.size == 0:
         return points
-    xc = points.astype(complex).copy()
-    for _ in range(12):
-        fv, fj = compiled_full.eval_and_jac(xc)
-        if system.overdetermined:
-            jh = np.conj(np.transpose(fj, (0, 2, 1)))
-            a = jh @ fj
-            b = -(jh @ fv[..., None])[..., 0]
-            delta, _ = _batched_solve(a, b)
-        else:
-            delta, _ = _batched_solve(fj, -fv)
-        delta = np.where(np.isfinite(delta), delta, 0.0)
-        xc = xc + delta
-        if np.max(np.abs(delta)) < NEWTON_TOL * (1.0 + np.max(np.abs(xc))):
-            break
+    xc, _, _ = _newton(lambda i, z: compiled_full.eval_and_jac(z),
+                       points.astype(complex), 12, NEWTON_TOL)
     if xc.shape[0] <= 2000:
-        xc = _polish_extended(system, compiled_full, xc)
+        xc = _polish_extended(compiled_full, xc)
     return xc
 
 
-def _polish_extended(system: PolySystem, compiled: CompiledSystem,
-                     points: np.ndarray) -> np.ndarray:
+def _polish_extended(compiled: CompiledSystem, points: np.ndarray) -> np.ndarray:
     """Iterative refinement with extended-precision residuals: the correction
     is solved in double precision but the residual is evaluated in
     complex long double, which resolves algebraic coordinates well below
-    double-precision Newton stagnation."""
-    xc = points.astype(np.clongdouble)
+    double-precision Newton stagnation.  Three steps: tol = 0 stops none."""
     cf = compiled._cf.tocoo()
-    for _ in range(3):
-        mv = compiled.monomial_values(xc)  # (nm, N) in extended precision
-        fv = np.zeros((compiled.neqs, xc.shape[0]), dtype=np.clongdouble)
+
+    def eval_and_jac(idx, x):
+        mv = compiled.monomial_values(x)  # (nm, N) in extended precision
+        fv = np.zeros((compiled.neqs, x.shape[0]), dtype=np.clongdouble)
         np.add.at(fv, cf.col, cf.data[:, None] * mv[cf.row])
-        fv = np.ascontiguousarray(fv.T)
-        fj = compiled.jac(xc.astype(complex))
-        if system.overdetermined:
-            jh = np.conj(np.transpose(fj, (0, 2, 1)))
-            a = jh @ fj
-            b = -(jh @ fv.astype(complex)[..., None])[..., 0]
-            delta, _ = _batched_solve(a, b)
-        else:
-            delta, _ = _batched_solve(fj, -fv.astype(complex))
-        xc = xc + np.where(np.isfinite(delta), delta, 0.0).astype(np.clongdouble)
+        return fv.T.astype(complex, order="C"), compiled.jac(x.astype(complex))
+
+    xc, _, _ = _newton(eval_and_jac, points.astype(np.clongdouble), 3, 0.0)
     return xc.astype(complex)
 
 
@@ -1067,7 +1031,7 @@ def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
     """Refine endpoints on the full system; keep those that pass the
     residual and degenerate-locus filters."""
     with np.errstate(all="ignore"):
-        pts = refine_full(system, compiled_full, pts)
+        pts = refine_full(compiled_full, pts)
         fv = compiled_full.eval(pts)
     res = np.max(np.abs(fv), axis=1)
     threshold = 1e-8 * (1.0 + compiled_full.coeff_scale)
@@ -1094,7 +1058,7 @@ def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
 STALL_LOOPS = 8
 
 
-def _fill_fibre(system: PolySystem, mixed: list[CPoly], squared: list[CPoly],
+def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
                 compiled_sq: CompiledSystem, count: int, cfg: TrackerConfig,
                 accept: Callable[[np.ndarray, np.ndarray], list[tuple]],
                 stats: PathStats) -> list[tuple]:
@@ -1106,7 +1070,8 @@ def _fill_fibre(system: PolySystem, mixed: list[CPoly], squared: list[CPoly],
     random complex data), whose monodromy permutes the fibre.  Every endpoint
     comes with its conjugate (the data are real) and all are refined,
     filtered and deduplicated.  Stops at ``count`` (a surplus is kept) or
-    after STALL_LOOPS loops in a row that add nothing.
+    after STALL_LOOPS loops in a row that add nothing.  Where the section
+    admits no seeds (s > r n), nothing is tracked.
     """
     inst = system.instance
     U, Lam = inst.data_array(), inst.weights.as_array()
@@ -1144,6 +1109,8 @@ def _fill_fibre(system: PolySystem, mixed: list[CPoly], squared: list[CPoly],
         return len(found) > before
 
     X, N = systems.normal_space_seeds(inst, 2 * count, rng)
+    if not len(X):
+        return found
     status, endp = segment(system.lift(X, N), X + N / Lam, U)
     _tally(stats, status)
     good = (status == CONVERGED) | (status == SINGULAR)

@@ -1,11 +1,11 @@
 """Critical-point polynomial systems for weighted low-rank approximation.
 
-Each builder returns a PolySystem: sparse complex-coefficient equations over
-named variables, plus the metadata the solver needs (variable group labels
-for multihomogeneous starts, the chart map back to a matrix and, for the
-normal-space charts, its inverse ``lift``, degenerate-locus predicates, a
-symmetry fold, and the scalar potential whose gradient the equations
-realize, used by the finite-difference tests).
+Each builder returns a PolySystem: sparse complex-coefficient equations
+(``polyarith.Poly``) over named variables, plus the metadata the solver
+needs (variable group labels for multihomogeneous starts, the chart map back
+to a matrix and, for the normal-space charts, its inverse ``lift``,
+degenerate-locus predicates, a symmetry fold, and the scalar potential whose
+gradient the equations realize, used by the finite-difference tests).
 
 Formulations:
 
@@ -26,112 +26,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .polyarith import Poly
 from .structured import Instance, catalecticant_structure
 
-Exponent = tuple[int, ...]
 
-
-class CPoly:
-    """Sparse polynomial with complex floating coefficients."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[Exponent, complex] | None = None):
-        self.n = n
-        self.terms: dict[Exponent, complex] = {}
-        if terms:
-            for e, c in terms.items():
-                if c != 0:
-                    self.terms[tuple(e)] = complex(c)
-
-    @classmethod
-    def const(cls, n: int, c) -> "CPoly":
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def var(cls, n: int, i: int) -> "CPoly":
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): 1.0})
-
-    def __add__(self, other) -> "CPoly":
-        if not isinstance(other, CPoly):
-            other = CPoly.const(self.n, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v != 0:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return CPoly(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CPoly":
-        return CPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "CPoly":
-        return self + (-other if isinstance(other, CPoly) else -complex(other))
-
-    def __rsub__(self, other) -> "CPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "CPoly":
-        if not isinstance(other, CPoly):
-            return CPoly(self.n, {e: c * other for e, c in self.terms.items()})
-        out: dict[Exponent, complex] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                out[e] = v
-        return CPoly(self.n, {e: c for e, c in out.items() if c != 0})
-
-    __rmul__ = __mul__
-
-    def diff(self, i: int) -> "CPoly":
-        out: dict[Exponent, complex] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                d = list(e)
-                d[i] -= 1
-                key = tuple(d)
-                out[key] = out.get(key, 0) + c * e[i]
-        return CPoly(self.n, out)
-
-    def eval(self, x: Sequence[complex]) -> complex:
-        total = 0j
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    v = v * xi ** ei
-            total += v
-        return total
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_on(self, indices: Sequence[int]) -> int:
-        idx = list(indices)
-        return max((sum(e[i] for i in idx) for e in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def poly_det(entries: list[list[CPoly]]) -> CPoly:
+def poly_det(entries: list[list[Poly]]) -> Poly:
     """Determinant of a square grid of polynomials (subset DP over columns)."""
     n = len(entries)
     nvars = entries[0][0].n
-    state: dict[int, CPoly] = {0: CPoly.const(nvars, 1.0)}
+    state: dict[int, Poly] = {0: Poly.const(nvars, 1.0)}
     for row in range(n):
-        nxt: dict[int, CPoly] = {}
+        nxt: dict[int, Poly] = {}
         for mask, acc in state.items():
             # sign of placing this row at `col`: parity of used columns > col
             sign = -1.0 if row % 2 else 1.0
@@ -150,7 +59,7 @@ def poly_det(entries: list[list[CPoly]]) -> CPoly:
                 else:
                     nxt[key] = term
         state = nxt
-    return state.get((1 << n) - 1, CPoly.const(nvars, 0.0))
+    return state.get((1 << n) - 1, Poly.const(nvars, 0.0))
 
 
 @dataclass
@@ -158,13 +67,13 @@ class PolySystem:
     """A square or overdetermined system plus solver-facing metadata."""
 
     variables: tuple[str, ...]
-    equations: list[CPoly]
+    equations: list[Poly]
     var_labels: tuple[str, ...]                 # one group label per variable
     reconstruct: Callable[[np.ndarray], np.ndarray]
     instance: Instance | None = None
     degenerate: Callable[[np.ndarray, np.ndarray, float], bool] | None = None
     symmetry: Callable[[np.ndarray], np.ndarray] | None = None  # an involution
-    potential: CPoly | None = None
+    potential: Poly | None = None
     grad_map: tuple[int | None, ...] | None = None  # var index -> equation index
     chart_tag: str = "default"
     # equations whose block carries the overdeterminacy (polynomial syzygies);
@@ -245,14 +154,14 @@ def inverse_transfer(Y: np.ndarray, Lam: np.ndarray, U: np.ndarray) -> np.ndarra
     return np.asarray(U) - np.asarray(Y) / np.asarray(Lam)
 
 
-def _affine_polys(C: np.ndarray, c: np.ndarray, nvars: int) -> list[CPoly]:
+def _affine_polys(C: np.ndarray, c: np.ndarray, nvars: int) -> list[Poly]:
     """The rows of C x + c as polynomials in the first C.shape[1] variables."""
     out = []
     for row, const in zip(C.tolist(), c.tolist()):
-        p = CPoly.const(nvars, const)
+        p = Poly.const(nvars, const)
         for idx, cf in enumerate(row):
             if cf:
-                p = p + cf * CPoly.var(nvars, idx)
+                p = p + cf * Poly.var(nvars, idx)
         out.append(p)
     return out
 
@@ -287,7 +196,7 @@ def primal_corank1(instance: Instance) -> PolySystem:
     variables = names + tuple(f"z{k}" for k in range(s + 1))
     labels = ("x",) * ncoords + ("z",) * (s + 1)
 
-    det = poly_det([[CPoly.const(nvars, 0.0) if c is None else CPoly.var(nvars, c)
+    det = poly_det([[Poly.const(nvars, 0.0) if c is None else Poly.var(nvars, c)
                      for c in row] for row in st.grid])
     # a dense section: its rows over vec(X) are rows over the coordinates
     C, const = instance.section()
@@ -295,19 +204,19 @@ def primal_corank1(instance: Instance) -> PolySystem:
 
     equations = [det] + list(constraint_polys)
     for c in range(ncoords):
-        eq = CPoly.var(nvars, ncoords) * det.diff(c)
+        eq = Poly.var(nvars, ncoords) * det.diff(c)
         for k, cp in enumerate(constraint_polys):
-            eq = eq + CPoly.var(nvars, ncoords + 1 + k) * cp.diff(c)
-        eq = eq + weights[c] * (CPoly.var(nvars, c) - data[c])
+            eq = eq + Poly.var(nvars, ncoords + 1 + k) * cp.diff(c)
+        eq = eq + weights[c] * (Poly.var(nvars, c) - data[c])
         equations.append(eq)
 
-    half = CPoly.const(nvars, 0.0)
+    half = Poly.const(nvars, 0.0)
     for c in range(ncoords):
-        d = CPoly.var(nvars, c) - data[c]
+        d = Poly.var(nvars, c) - data[c]
         half = half + (0.5 * weights[c]) * (d * d)
-    potential = CPoly.var(nvars, ncoords) * det + half
+    potential = Poly.var(nvars, ncoords) * det + half
     for k, cp in enumerate(constraint_polys):
-        potential = potential + CPoly.var(nvars, ncoords + 1 + k) * cp
+        potential = potential + Poly.var(nvars, ncoords + 1 + k) * cp
     grad_map = tuple([1 + s + c for c in range(ncoords)] + [0]
                      + [1 + k for k in range(s)])
 
@@ -336,21 +245,22 @@ def dual_rank1(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
     labels = ("t",) * m + ("z",) * (n - 1)
     C = np.eye(n, dtype=complex) if col_mix is None else np.asarray(col_mix, dtype=complex)
 
-    # v_j as affine-linear polys in z
+    # coefficients as Python numbers; v_j as affine-linear polys in z
+    cl, lam, u = C.tolist(), Lam.tolist(), U.tolist()
     v = []
     for j in range(n):
-        p = CPoly.const(nvars, C[j, 0])
+        p = Poly.const(nvars, cl[j][0])
         for k in range(1, n):
-            if C[j, k] != 0:
-                p = p + C[j, k] * CPoly.var(nvars, m + k - 1)
+            if cl[j][k] != 0:
+                p = p + cl[j][k] * Poly.var(nvars, m + k - 1)
         v.append(p)
 
-    q = CPoly.const(nvars, 0.0)
+    q = Poly.const(nvars, 0.0)
     for i in range(m):
-        ti = CPoly.var(nvars, i)
+        ti = Poly.var(nvars, i)
         for j in range(n):
-            resid = ti * v[j] - Lam[i, j] * U[i, j]
-            q = q + (1.0 / Lam[i, j]) * (resid * resid)
+            resid = ti * v[j] - lam[i][j] * u[i][j]
+            q = q + (1.0 / lam[i][j]) * (resid * resid)
     equations = [q.diff(i) for i in range(nvars)]
 
     def rec(coords: np.ndarray) -> np.ndarray:
@@ -412,49 +322,52 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
     labels = ("x",) * n_x + ("y",) * n_y + ("z",) * n_z + ("w",) * n_w
 
     def xv(i, j):
-        return CPoly.var(nvars, i * n + j)
+        return Poly.var(nvars, i * n + j)
 
     ML = np.eye(m, dtype=complex) if left_mix is None else np.asarray(left_mix, dtype=complex)
     MR = np.eye(n, dtype=complex) if right_mix is None else np.asarray(right_mix, dtype=complex)
+    # coefficients as Python numbers
+    ml, mr = ML.tolist(), MR.tolist()
+    lam, u = instance.weights.as_array().tolist(), instance.data_array().tolist()
 
     # Y = ML @ [[I_a], [y]], column k; entries as polys in the y block
     def Ycol(k):
         col = []
         for row in range(m):
-            p = CPoly.const(nvars, ML[row, k])
+            p = Poly.const(nvars, ml[row][k])
             for yi in range(r):
-                cf = ML[row, a + yi]
+                cf = ml[row][a + yi]
                 if cf != 0:
-                    p = p + cf * CPoly.var(nvars, n_x + yi * a + k)
+                    p = p + cf * Poly.var(nvars, n_x + yi * a + k)
             col.append(p)
         return col
 
     def Zcol(k):
         col = []
         for row in range(n):
-            p = CPoly.const(nvars, MR[row, k])
+            p = Poly.const(nvars, mr[row][k])
             for zi in range(r):
-                cf = MR[row, b + zi]
+                cf = mr[row][b + zi]
                 if cf != 0:
-                    p = p + cf * CPoly.var(nvars, n_x + n_y + zi * b + k)
+                    p = p + cf * Poly.var(nvars, n_x + n_y + zi * b + k)
             col.append(p)
         return col
 
     ycols = [Ycol(k) for k in range(a)]
     zcols = [Zcol(k) for k in range(b)]
 
-    equations: list[CPoly] = []
+    equations: list[Poly] = []
     # Y^t X = 0 : a x n
     for k in range(a):
         for j in range(n):
-            eq = CPoly.const(nvars, 0.0)
+            eq = Poly.const(nvars, 0.0)
             for i in range(m):
                 eq = eq + ycols[k][i] * xv(i, j)
             equations.append(eq)
     # X Z = 0 : m x b
     for i in range(m):
         for k in range(b):
-            eq = CPoly.const(nvars, 0.0)
+            eq = Poly.const(nvars, 0.0)
             for j in range(n):
                 eq = eq + xv(i, j) * zcols[k][j]
             equations.append(eq)
@@ -463,44 +376,42 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
     equations.extend(constraint_polys)
 
     # Lagrange rows: one per matrix position
-    Lam = instance.weights.as_array()
-    U = instance.data_array()
     w_off = n_x + n_y + n_z
     lagrange_start = len(equations)
     for i in range(m):
         for j in range(n):
-            eq = Lam[i, j] * (xv(i, j) - U[i, j])
+            eq = lam[i][j] * (xv(i, j) - u[i][j])
             for kz in range(b):
                 for ky in range(a):
                     widx = w_off + kz * a + ky
-                    eq = eq + CPoly.var(nvars, widx) * (ycols[ky][i] * zcols[kz][j])
+                    eq = eq + Poly.var(nvars, widx) * (ycols[ky][i] * zcols[kz][j])
             for q, cf in enumerate(C[:, i * n + j].tolist()):
                 if cf:
-                    eq = eq + cf * CPoly.var(nvars, w_off + a * b + q)
+                    eq = eq + cf * Poly.var(nvars, w_off + a * b + q)
             equations.append(eq)
 
-    potential = CPoly.const(nvars, 0.0)
+    potential = Poly.const(nvars, 0.0)
     for i in range(m):
         for j in range(n):
-            d = xv(i, j) - U[i, j]
-            potential = potential + (0.5 * Lam[i, j]) * (d * d)
+            d = xv(i, j) - u[i][j]
+            potential = potential + (0.5 * lam[i][j]) * (d * d)
     for kz in range(b):
         for ky in range(a):
             widx = w_off + kz * a + ky
-            inner = CPoly.const(nvars, 0.0)
+            inner = Poly.const(nvars, 0.0)
             for i in range(m):
                 for j in range(n):
                     inner = inner + (ycols[ky][i] * zcols[kz][j]) * xv(i, j)
-            potential = potential + CPoly.var(nvars, widx) * inner
+            potential = potential + Poly.var(nvars, widx) * inner
     for q, cp in enumerate(constraint_polys):
-        potential = potential + CPoly.var(nvars, w_off + a * b + q) * cp
+        potential = potential + Poly.var(nvars, w_off + a * b + q) * cp
     grad_map = tuple(
         [lagrange_start + k for k in range(m * n)]
         + [None] * (n_y + n_z + n_w))
 
     # absolute scale: for r = 1 the ratio sv[r-1] / sv[0] is always 1, which
     # would let the cone point X = 0 (on every linear section) through
-    data_scale = 1.0 + float(np.max(np.abs(U)))
+    data_scale = 1.0 + float(np.max(np.abs(instance.data_array())))
 
     def degen(coords, X, tol):
         sv = np.linalg.svd(X, compute_uv=False)
@@ -544,15 +455,15 @@ def _kernel(M: np.ndarray, k: int) -> np.ndarray:
 
 def normal_space_seeds(instance: Instance, k: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """k random critical pairs (X, N) for the linear inverse of the problem.
+    """Up to k random critical pairs (X, N) for the linear inverse of the problem.
 
-    X = A B lies on the section by a least-norm correction of B.  It has
-    rank r when s < r n, or when s = r n with an affine section; a linear
-    section with s = r n makes the correction solve a square M B = 0, so
-    B = 0 and every seed is the cone point X = 0.  N = Y W Z^t + sum w_q C_q
-    is a random vector of the normal space at X.
-    X is then a critical point for the data X + N / Lam, with multipliers
-    read off N by the chart's ``lift``.  Both are scaled to the mean |U|.
+    X = A B of rank r lies on the section: A random and B corrected by least
+    norms, or, where that solves a square M(A) B = 0 (linear, s = r n), A on
+    random lines A0 + tau A1 with tau and B the eigenpairs of the pencil
+    (M(A0), -M(A1)).  With s > r n no pairs exist.  N = Y W Z^t + sum w_q C_q
+    is a random normal vector at X.  X is then a critical point for the data
+    X + N / Lam, with multipliers read off N by the chart's ``lift``.  Both
+    are scaled to the mean |U|.
     """
     m, n, r = instance.m, instance.n, instance.r
     C, const = instance.section()
@@ -564,14 +475,36 @@ def normal_space_seeds(instance: Instance, k: int,
     def cnormal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    A = cnormal(k, m, r)
-    B = cnormal(k, r, n) * (scale / np.sqrt(2.0 * r))
-    if s:
+    def M(A):
         # sum_ij C_qij (A B)_ij = sum_lj (A^t C_q)_lj B_lj is linear in B
-        M = np.einsum("kil,qij->kqlj", A, C).reshape(k, s, r * n)
-        gap = -const[None, :, None] - M @ B.reshape(k, r * n, 1)
-        B = B + (np.linalg.pinv(M) @ gap).reshape(k, r, n)
-    X = A @ B
+        return np.einsum("kil,qij->kqlj", A, C).reshape(len(A), s, r * n)
+
+    if s > r * n:
+        none = np.zeros((0, m, n), dtype=complex)
+        return none, none
+    if s == r * n and not const.any():
+        from scipy.linalg import eig
+
+        lines = -(-k // s)
+        A0, A1 = cnormal(lines, m, r), cnormal(lines, m, r)
+        A, B = [], []
+        for a0, a1, m0, m1 in zip(A0, A1, M(A0), M(A1)):
+            tau, vec = eig(m0, -m1)
+            for t, v in zip(tau, vec.T):
+                if np.isfinite(t):
+                    A.append(a0 + t * a1)
+                    B.append(v.reshape(r, n))
+        X = np.array(A[:k]) @ np.array(B[:k])
+        X *= scale / np.mean(np.abs(X), axis=(1, 2), keepdims=True)
+    else:
+        A = cnormal(k, m, r)
+        B = cnormal(k, r, n) * (scale / np.sqrt(2.0 * r))
+        if s:
+            MA = M(A)
+            gap = -const[None, :, None] - MA @ B.reshape(k, r * n, 1)
+            B = B + (np.linalg.pinv(MA) @ gap).reshape(k, r, n)
+        X = A @ B
+    k = len(X)
     Y = _kernel(np.swapaxes(X, 1, 2), m - r)
     Z = _kernel(X, n - r)
     N = (Y @ cnormal(k, m - r, n - r) @ np.swapaxes(Z, 1, 2)
@@ -596,11 +529,11 @@ def hankel_rank1(instance: Instance) -> PolySystem:
     w = [float(x) for x in st.coordinate_weights(instance.weights)]
     u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
 
-    sv, tv = CPoly.var(2, 0), CPoly.var(2, 1)
-    tpow = [CPoly.const(2, 1.0)]
+    sv, tv = Poly.var(2, 0), Poly.var(2, 1)
+    tpow = [Poly.const(2, 1.0)]
     for _ in range(n - 1):
         tpow.append(tpow[-1] * tv)
-    g = CPoly.const(2, 0.0)
+    g = Poly.const(2, 0.0)
     for k in range(n):
         resid = sv * tpow[k] - u[k]
         g = g + w[k] * (resid * resid)
@@ -626,9 +559,9 @@ def hankel_rank1(instance: Instance) -> PolySystem:
 
 # Catalecticant chart: x_key as a polynomial in (a, b, c, d, e, f).
 # Monomials of the quartic (s + b t + c u)^4 contribute b^i c^j per key "4-i-j".
-def _catalecticant_chart_polys() -> dict[str, CPoly]:
-    av, bv, cv, dv, ev, fv = (CPoly.var(6, i) for i in range(6))
-    out: dict[str, CPoly] = {}
+def _catalecticant_chart_polys() -> dict[str, Poly]:
+    av, bv, cv, dv, ev, fv = (Poly.var(6, i) for i in range(6))
+    out: dict[str, Poly] = {}
     for name in catalecticant_structure().coord_names:
         p4, i, j = (int(ch) for ch in name)
         term1 = av
@@ -662,7 +595,7 @@ def catalecticant_rank2(instance: Instance) -> PolySystem:
     u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
 
     charts = _catalecticant_chart_polys()
-    g = CPoly.const(6, 0.0)
+    g = Poly.const(6, 0.0)
     for k, name in enumerate(st.coord_names):
         resid = charts[name] - u[k]
         g = g + w[k] * (resid * resid)

@@ -7,18 +7,19 @@ import pytest
 from slra import solver as sv
 from slra import structured as st
 from slra import systems as sy
-from slra.systems import CPoly, PolySystem
+from slra.polyarith import Poly
+from slra.systems import PolySystem
 
 
 def scalar_system(terms):
-    return PolySystem(variables=("x",), equations=[CPoly(1, terms)],
+    return PolySystem(variables=("x",), equations=[Poly(1, terms)],
                       var_labels=("x",),
                       reconstruct=lambda c: np.array([[c[0]]]))
 
 
 def test_track_univariate_shift():
     # {x^2 - 4} from the start {x^2 - 1}: endpoints 2 and -2
-    target = sv.CompiledSystem([CPoly(1, {(2,): 1.0, (0,): -4.0})], 1)
+    target = sv.CompiledSystem([Poly(1, {(2,): 1.0, (0,): -4.0})], 1)
     start = sv.PowerStart([2], np.array([1.0 + 0j]))
     hom = sv.Homotopy(target, start, sv.TrackerConfig(seed=1).gamma())
     x0 = np.array([[1.0 + 0j], [-1.0 + 0j]])
@@ -29,7 +30,7 @@ def test_track_univariate_shift():
 
 def test_track_identity_homotopy():
     # F = G: endpoints equal start points
-    eqs = [CPoly(1, {(2,): 1.0, (0,): -1.0})]
+    eqs = [Poly(1, {(2,): 1.0, (0,): -1.0})]
     target = sv.CompiledSystem(eqs, 1)
     start = sv.PowerStart([2], np.array([1.0 + 0j]))
     hom = sv.Homotopy(target, start, sv.TrackerConfig(seed=1).gamma())
@@ -46,7 +47,7 @@ def test_track_linear_system_oracle():
     for i in range(4):
         terms = {tuple(1 if k == j else 0 for k in range(4)): A[i, j] for j in range(4)}
         terms[(0,) * 4] = -b[i]
-        eqs.append(CPoly(4, terms))
+        eqs.append(Poly(4, terms))
     system = PolySystem(variables=tuple("abcd"), equations=eqs,
                         var_labels=("v",) * 4,
                         reconstruct=lambda c: c.reshape(1, 4))
@@ -56,15 +57,15 @@ def test_track_linear_system_oracle():
 
 
 def test_total_degree_budget_guard(monkeypatch):
-    eqs = [CPoly(2, {(9, 0): 1.0, (0, 0): -1.0}),
-           CPoly(2, {(0, 9): 1.0, (0, 0): -1.0})]
+    eqs = [Poly(2, {(9, 0): 1.0, (0, 0): -1.0}),
+           Poly(2, {(0, 9): 1.0, (0, 0): -1.0})]
     monkeypatch.setattr(sv, "MAX_PATHS", 10)
     with pytest.raises(ValueError, match="max_paths"):
         sv.total_degree_start(eqs, np.random.default_rng(0))
 
 
 def test_total_degree_rejects_constant_equation():
-    eqs = [CPoly(1, {(0,): 1.0})]
+    eqs = [Poly(1, {(0,): 1.0})]
     with pytest.raises(ValueError, match="zero-degree"):
         sv.total_degree_start(eqs, np.random.default_rng(0))
 
@@ -83,7 +84,7 @@ def test_set_partitions():
 
 
 def _monomial(nvars, exps, coeff=1.0):
-    return CPoly(nvars, {tuple(exps): coeff})
+    return Poly(nvars, {tuple(exps): coeff})
 
 
 @pytest.mark.parametrize("batch", [1, 500])
@@ -130,8 +131,8 @@ def _monomial_values_by_variable(compiled, x):
 
 @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
 def test_monomial_values_match_power_products(dtype):
-    eqs = [CPoly(3, {(0, 0, 0): 2.0, (3, 1, 0): 1.0, (0, 2, 2): -1.5}),
-           CPoly(3, {(1, 1, 1): 0.5, (0, 0, 4): 1.0, (2, 0, 0): 3.0})]
+    eqs = [Poly(3, {(0, 0, 0): 2.0, (3, 1, 0): 1.0, (0, 2, 2): -1.5}),
+           Poly(3, {(1, 1, 1): 0.5, (0, 0, 4): 1.0, (2, 0, 0): 3.0})]
     compiled = sv.CompiledSystem(eqs, 3)
     assert not compiled.exps[0].any()      # the constant monomial is kept
     rng = np.random.default_rng(11)
@@ -144,7 +145,7 @@ def test_monomial_values_match_power_products(dtype):
 
 
 def test_compiled_system_on_an_empty_batch():
-    eqs = [CPoly(2, {(2, 1): 1.0, (0, 0): -3.0}), CPoly(2, {(0, 1): 2.0})]
+    eqs = [Poly(2, {(2, 1): 1.0, (0, 0): -3.0}), Poly(2, {(0, 1): 2.0})]
     compiled = sv.CompiledSystem(eqs, 2)
     x = np.zeros((0, 2), dtype=complex)
     assert compiled.monomial_values(x).shape == (compiled.nm, 0)
@@ -182,7 +183,7 @@ def test_polish_extended_matches_the_coefficient_loop():
     rng = np.random.default_rng(4)
     pts = np.array([p.coords for p in ss.points])
     pts = pts + 1e-7 * (rng.normal(size=pts.shape) + 1j * rng.normal(size=pts.shape))
-    assert np.array_equal(sv._polish_extended(system, compiled, pts),
+    assert np.array_equal(sv._polish_extended(compiled, pts),
                           _polish_by_coefficient_loop(system, compiled, pts))
 
 
@@ -199,7 +200,7 @@ def test_start_point_count_matches_bound():
 
 
 def test_overdetermined_system_needs_a_merge_block():
-    x = CPoly(1, {(1,): 1.0})
+    x = Poly(1, {(1,): 1.0})
     system = PolySystem(variables=("x",), equations=[x, x * 2.0],
                         var_labels=("x",),
                         reconstruct=lambda c: np.array([[c[0]]]))
@@ -479,6 +480,36 @@ def test_seeded_solve_falls_back_to_the_start_system(monkeypatch):
     assert _same_points(ss, mh)
 
 
+@pytest.mark.parametrize("m, n, s, seed", [(2, 2, 2, 3), (2, 3, 3, 3), (3, 3, 3, 3),
+                                           (3, 4, 4, 2)])
+def test_linear_sections_with_s_equal_to_rn_are_seeded(m, n, s, seed):
+    # a least-norm correction of B would give B = 0 here; the seeds come from
+    # the pencil of a random line of A instead, rank one and on the section
+    inst = st.dense_instance(m, n, 1, seed=seed, s=s)
+    X, _ = sy.normal_space_seeds(inst, 2 * s + 1, np.random.default_rng(seed))
+    assert len(X) == 2 * s + 1
+    assert (np.linalg.matrix_rank(X, tol=1e-8) == 1).all()
+    C = inst.section()[0]
+    assert np.max(np.abs(X.reshape(len(X), -1) @ C.T)) < 1e-9 * np.max(np.abs(X))
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=seed, charts=2))
+    assert ss.stats.start_kind == "seeded"
+    assert ss.n_complex == ss.predicted
+
+
+def test_seeding_declines_where_no_seed_lies_on_the_section(monkeypatch):
+    # s = 4 > r n = 3: no X = A B with a random A meets the section
+    inst = st.dense_instance(3, 3, 1, seed=3, s=4)
+    X, N = sy.normal_space_seeds(inst, 12, np.random.default_rng(0))
+    assert X.shape == N.shape == (0, 3, 3)
+    monkeypatch.setattr(sv, "track_batch", lambda *a: pytest.fail("tracked a path"))
+    system = sy.normal_space(inst)
+    mixed = sv.square_up(system, np.random.default_rng(0))
+    stats = sv.PathStats()
+    assert sv._fill_fibre(system, mixed, sv.normalize_equations(mixed), None, 6,
+                          sv.TrackerConfig(seed=3), None, stats) == []
+    assert stats.n_paths == 0
+
+
 def test_seeded_solve_repeats_exactly():
     inst = st.dense_instance(3, 3, 1, seed=12345, s=1)
 
@@ -564,7 +595,7 @@ def test_matchers_on_planted_points():
     # involution x <-> y: one orbit, one fixed point (no warning) and one
     # point whose partner is missing (one warning)
     system = PolySystem(variables=("x", "y"),
-                        equations=[CPoly.var(2, 0), CPoly.var(2, 1)],
+                        equations=[Poly.var(2, 0), Poly.var(2, 1)],
                         var_labels=("x", "y"),
                         reconstruct=lambda c: np.array([c]),
                         symmetry=lambda c: c[::-1])

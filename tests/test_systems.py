@@ -2,41 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import fd_gradient_error
 
 from slra import structured as st
 from slra import systems as sy
-
-
-def fd_gradient_error(system, npts=20, h=1e-5, seed=3):
-    """Max relative error between the stored gradient equations and central
-    finite differences of the scalar potential."""
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(npts):
-        x = rng.normal(size=system.n_vars) + 1j * rng.normal(size=system.n_vars)
-        for var, eq_index in enumerate(system.grad_map or []):
-            if eq_index is None:
-                continue
-            xp, xm = x.copy(), x.copy()
-            xp[var] += h
-            xm[var] -= h
-            fd = (system.potential.eval(xp) - system.potential.eval(xm)) / (2 * h)
-            an = system.equations[eq_index].eval(x)
-            errs.append(abs(fd - an) / (1.0 + abs(an)))
-    return max(errs)
+from slra.polyarith import Poly
 
 
 def test_poly_det_matches_numpy():
     rng = np.random.default_rng(0)
     for n in range(2, 6):
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        grid = [[sy.CPoly.const(0, A[i, j]) for j in range(n)] for i in range(n)]
+        grid = [[Poly.const(0, A[i, j]) for j in range(n)] for i in range(n)]
         det = sy.poly_det(grid).eval([])
         assert abs(det - np.linalg.det(A)) < 1e-9 * max(1.0, abs(np.linalg.det(A)))
 
 
 def test_cpoly_basics():
-    p = sy.CPoly.var(2, 0) * sy.CPoly.var(2, 1) + 2.0
+    p = Poly.var(2, 0) * Poly.var(2, 1) + 2.0
     assert p.eval([3.0, 4.0]) == pytest.approx(14.0)
     assert p.diff(0).eval([3.0, 4.0]) == pytest.approx(4.0)
     assert p.degree() == 2
@@ -184,7 +167,7 @@ def test_unit_weight_critical_counts():
 
 
 def test_residual_function():
-    eqs = [sy.CPoly(1, {(2,): 1.0, (0,): -4.0})]
+    eqs = [Poly(1, {(2,): 1.0, (0,): -4.0})]
     from slra.systems import PolySystem
     system = PolySystem(variables=("x",), equations=eqs, var_labels=("x",),
                         reconstruct=lambda c: np.array([[c[0]]]))
