@@ -5,7 +5,9 @@ Prints one line per case: its name and a SHA-256 over the exact bits of what
 the builder returned (term order and coefficients of every equation, the
 potential, grad_map, merge block, chart tag, the chart map and degenerate
 predicate at a fixed point, seeds and lifts, section arrays, projected data,
-and the points of a few small seeded solves).  Run it in each checkout and
+and the points of a few small seeded solves).  A builder that refuses a case
+(``normal_space`` on a Hankel instance, before it took every family) is
+fingerprinted by its error message.  Run it in each checkout and
 diff the outputs:
 
     PYTHONPATH=src python3 scripts/compare_builders.py > builders.txt
@@ -82,6 +84,24 @@ def _catalecticant_count_systems(seed: int) -> list:
             systems.catalecticant_rank2(data.tolist(), coeff_weights=coeffs.tolist())]
 
 
+def _normal_space(inst):
+    try:
+        return _system(systems.normal_space(inst))
+    except ValueError as exc:  # checkouts whose normal_space took dense instances only
+        return repr(exc)
+
+
+def _rank_one_charts(name: str, inst: structured.Instance, seed: int):
+    """dual_rank1 and rank1_direct on the instance's data, plain and mixed."""
+    U, Lam = inst.data_array(), inst.weights.as_array()
+    rng = np.random.default_rng(seed)
+    n = U.shape[1]
+    mix = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    for builder in (systems.dual_rank1, systems.rank1_direct):
+        yield f"{name} {builder.__name__} plain", _system(builder(U, Lam))
+        yield f"{name} {builder.__name__} mixed", _system(builder(U, Lam, col_mix=mix))
+
+
 def _lift(system, X, N):
     try:
         return system.lift(X, N)
@@ -119,6 +139,12 @@ def cases():
         yield f"hankel33 {kind} section", list(_section(inst))
         yield f"hankel33 {kind} r=1", _system(_hankel_rank1(inst))
         yield f"hankel33 {kind} r=2", _system(systems.primal_corank1(inst.with_rank(2)))
+    yield "hankel33 omega r=2 normal", _normal_space(
+        hankel.with_weights(structured.hankel_weights(5, "omega")).with_rank(2))
+    yield from _rank_one_charts("rey", structured.load_dataset("rey"), 1)
+    for m, n, r, seed in ((2, 3, 1, 3), (3, 3, 2, 5)):
+        yield from _rank_one_charts(f"dense {m}x{n} r={r} seed={seed}",
+                                    structured.dense_instance(m, n, r, seed), seed)
     for m, n, k in ((1, 2, 1), (2, 3, 2), (1, 3, 1), (2, 2, 2)):
         inst = structured.sylvester_instance(m, n, k, list(range(1, m + 2)),
                                              list(range(-n, 1)))

@@ -2,8 +2,8 @@
 """Count reconciliation experiment: random dense instances vs the exact engine.
 
 For a sweep of seeds, generates a random weighted corank-one instance, runs
-the solver, and compares the number of critical points with the exact
-prediction.  A mismatch prints full path forensics.
+the solver in its `auto` formulation, and compares the number of critical
+points with the exact prediction.  A mismatch prints full path forensics.
 """
 
 import argparse
@@ -15,9 +15,7 @@ def run(n: int, seeds: range, section: int) -> None:
     hits = 0
     for seed in seeds:
         inst = structured.dense_instance(n, n, n - 1, seed=seed, s=section)
-        formulation = "primal" if (section or n == 2) else "dual-rank1"
-        ss = solver.solve(inst, formulation,
-                          solver.TrackerConfig(seed=seed, charts=1))
+        ss = solver.solve(inst, "auto", solver.TrackerConfig(seed=seed, charts=1))
         report = solver.reconcile(ss)
         status = "ok" if report["agreement"] else "MISMATCH"
         print(f"seed {seed:>4}: found {report['found']:>4} "

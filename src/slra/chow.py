@@ -403,13 +403,14 @@ def sectional_integrals(m: int, n: int, r: int) -> tuple[int, ...]:
                  for j in range(top + e))
 
 
-def polar_classes_determinantal(m: int, n: int, r: int) -> list[int]:
+@lru_cache(maxsize=None)
+def polar_classes_determinantal(m: int, n: int, r: int) -> tuple[int, ...]:
     """delta_i of the rank <= r determinantal variety, i = 0..dim."""
     ints = sectional_integrals(m, n, r)
     d = len(ints) - 1
-    return [sum((-1) ** (d - j) * comb(j + 1, i + 1) * ints[j]
-                for j in range(i, d + 1))
-            for i in range(d + 1)]
+    return tuple(sum((-1) ** (d - j) * comb(j + 1, i + 1) * ints[j]
+                     for j in range(i, d + 1))
+                 for i in range(d + 1))
 
 
 def ed_generic_determinantal(m: int, n: int, r: int, s: int = 0) -> int:

@@ -356,8 +356,7 @@ def reproduce_hankel33(seed: int, results: list) -> bool:
     ok = True
     for (kind, r), want in expected.items():
         variant = inst.with_weights(structured.hankel_weights(5, kind)).with_rank(r)
-        formulation = "hankel-rank1" if r == 1 else "primal"
-        ss = solver.solve(variant, formulation, solver.TrackerConfig(seed=seed))
+        ss = solver.solve(variant, "auto", solver.TrackerConfig(seed=seed))
         ok &= _check(f"{kind} rank {r}", ss.n_complex == want,
                      f"found {ss.n_complex}, expect {want}", results)
     return ok

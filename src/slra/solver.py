@@ -1138,15 +1138,16 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
     s = instance.codimension()
     section = instance.section_kind()
     if instance.family == "dense":
-        if s == 0 and instance.weights.is_rank_one():
+        if instance.weights.is_rank_one():
             # Lam = a b^T: X -> D_a^{1/2} X D_b^{1/2} turns the problem into
-            # unweighted Eckart-Young, one critical point per kept subset
-            return systems.unit_weight_critical_count(m, n, r), "rank-one weight subset count"
-        if instance.is_unit_weights():
+            # a unit-weight one on a section of the same kind and codimension
+            if s == 0:  # unweighted Eckart-Young: one point per kept subset
+                return (systems.unit_weight_critical_count(m, n, r),
+                        "rank-one weight subset count")
             if m == n and r == n - 1 and section == "linear":
                 return (eddegree.conjectured_corank1_unit(m, n, s),
                         "conjectured unit-weight value")
-            return None, "no unit-weight formula for this case"
+            return None, "no formula for rank-one weights with this section"
         q = eddegree.EDDegreeQuery(m, n, r, s, section, "generic")
         return eddegree.ed_degree(q), "generic ED degree"
     if instance.constraints:
@@ -1222,8 +1223,6 @@ def default_formulation(instance: Instance) -> str:
         return "primal"
     if not instance.constraints and instance.r in (1, min(instance.m, instance.n) - 1):
         return "dual-rank1"
-    if instance.m == instance.n and instance.r == instance.n - 1:
-        return "primal"
     return "normal"
 
 

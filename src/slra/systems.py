@@ -11,8 +11,14 @@ Formulations:
 
   primal_corank1    determinant + Lagrange rows, square matrices of corank 1
                     (dense matrix coordinates or a square structured family)
+  normal_space      kernel charts + multipliers for any rank, family and
+                    linear section (the x block holds the m n matrix entries)
+
+and the parametrised charts, each the gradient of sum_k w_k (phi_k - u_k)^2
+over chart polynomials phi (``_chart_system``):
+
   dual_rank1        unconstrained rank-one chart for the Hadamard-dual problem
-  normal_space      kernel charts + multipliers for any intermediate rank
+                    (rank1_direct: the same chart for the direct problem)
   hankel_rank1      the two-variable chart x_k = s t^k of rank-one Hankels
   catalecticant_rank2  six-parameter chart of rank-2 ternary-quartic tensors
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,17 +110,6 @@ class PolySystem:
             out.setdefault(lab, []).append(i)
         return out
 
-    def coefficient_scale(self) -> float:
-        return max((abs(c) for eq in self.equations for c in eq.terms.values()),
-                   default=1.0)
-
-    def evaluate(self, point: Sequence[complex]) -> np.ndarray:
-        return np.array([eq.eval(point) for eq in self.equations])
-
-
-def residual(system: PolySystem, point: Sequence[complex]) -> float:
-    """Max absolute equation value at the point."""
-    return float(np.max(np.abs(system.evaluate(point))))
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +149,57 @@ def inverse_transfer(Y: np.ndarray, Lam: np.ndarray, U: np.ndarray) -> np.ndarra
     return np.asarray(U) - np.asarray(Y) / np.asarray(Lam)
 
 
+def _linear(p: Poly, terms) -> Poly:
+    """p + sum cf * x_idx over the (cf, idx) pairs whose cf is nonzero."""
+    for cf, idx in terms:
+        if cf:
+            p = p + cf * Poly.var(p.n, idx)
+    return p
+
+
 def _affine_polys(C: np.ndarray, c: np.ndarray, nvars: int) -> list[Poly]:
     """The rows of C x + c as polynomials in the first C.shape[1] variables."""
-    out = []
-    for row, const in zip(C.tolist(), c.tolist()):
-        p = Poly.const(nvars, const)
-        for idx, cf in enumerate(row):
-            if cf:
-                p = p + cf * Poly.var(nvars, idx)
-        out.append(p)
-    return out
+    return [_linear(Poly.const(nvars, const), zip(row, range(nvars)))
+            for row, const in zip(C.tolist(), c.tolist())]
+
+
+def _squares(polys: list[Poly], weights: list[float], data: list[float],
+             nvars: int) -> Poly:
+    """sum_k w_k (p_k - u_k)^2, added up in order."""
+    total = Poly.const(nvars, 0.0)
+    for p, w, u in zip(polys, weights, data):
+        d = p - u
+        total = total + w * (d * d)
+    return total
+
+
+def _coordinates(instance: Instance) -> tuple[list[float], list[float]]:
+    """Each structure coordinate's summed weight and its data value."""
+    st = instance.structure()
+    return ([float(x) for x in st.coordinate_weights(instance.weights)],
+            [float(x) for x in st.coords_from_matrix(instance.data_array())])
+
+
+def _chart_system(variables: tuple[str, ...], labels: tuple[str, ...],
+                  chart: list[Poly], weights: list[float], data: list[float],
+                  to_matrix: Callable[[np.ndarray], np.ndarray],
+                  degenerate: Callable[[np.ndarray, np.ndarray, float], bool],
+                  symmetry: Callable[[np.ndarray], np.ndarray] | None = None,
+                  chart_tag: str = "default") -> PolySystem:
+    """Gradient system of g = sum_k w_k (phi_k - u_k)^2 over the chart
+    polynomials phi, whose values at the parameters to_matrix places."""
+    nvars = len(variables)
+    g = _squares(chart, weights, data, nvars)
+
+    def rec(coords: np.ndarray) -> np.ndarray:
+        return to_matrix(np.array([phi.eval(coords) for phi in chart]))
+
+    return PolySystem(
+        variables=variables, equations=[g.diff(i) for i in range(nvars)],
+        var_labels=labels, reconstruct=rec, degenerate=degenerate,
+        symmetry=symmetry, potential=g, grad_map=tuple(range(nvars)),
+        chart_tag=chart_tag,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +224,7 @@ def primal_corank1(instance: Instance) -> PolySystem:
 
     st = instance.structure()
     names = st.coord_names
-    weights = [float(x) for x in st.coordinate_weights(instance.weights)]
-    data = [float(x) for x in st.coords_from_matrix(instance.data_array())]
+    weights, data = _coordinates(instance)
     ncoords = len(names)
     s = len(instance.constraints)
     nvars = ncoords + s + 1
@@ -210,10 +245,8 @@ def primal_corank1(instance: Instance) -> PolySystem:
         eq = eq + weights[c] * (Poly.var(nvars, c) - data[c])
         equations.append(eq)
 
-    half = Poly.const(nvars, 0.0)
-    for c in range(ncoords):
-        d = Poly.var(nvars, c) - data[c]
-        half = half + (0.5 * weights[c]) * (d * d)
+    half = _squares([Poly.var(nvars, c) for c in range(ncoords)],
+                    [0.5 * w for w in weights], data, nvars)
     potential = Poly.var(nvars, ncoords) * det + half
     for k, cp in enumerate(constraint_polys):
         potential = potential + Poly.var(nvars, ncoords + 1 + k) * cp
@@ -245,40 +278,19 @@ def dual_rank1(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
     labels = ("t",) * m + ("z",) * (n - 1)
     C = np.eye(n, dtype=complex) if col_mix is None else np.asarray(col_mix, dtype=complex)
 
-    # coefficients as Python numbers; v_j as affine-linear polys in z
-    cl, lam, u = C.tolist(), Lam.tolist(), U.tolist()
-    v = []
-    for j in range(n):
-        p = Poly.const(nvars, cl[j][0])
-        for k in range(1, n):
-            if cl[j][k] != 0:
-                p = p + cl[j][k] * Poly.var(nvars, m + k - 1)
-        v.append(p)
-
-    q = Poly.const(nvars, 0.0)
-    for i in range(m):
-        ti = Poly.var(nvars, i)
-        for j in range(n):
-            resid = ti * v[j] - lam[i][j] * u[i][j]
-            q = q + (1.0 / lam[i][j]) * (resid * resid)
-    equations = [q.diff(i) for i in range(nvars)]
-
-    def rec(coords: np.ndarray) -> np.ndarray:
-        t = np.asarray(coords)[:m]
-        z = np.concatenate([[1.0], np.asarray(coords)[m:]])
-        return np.outer(t, C @ z)
-
+    # v_j as affine-linear polys in z, coefficients as Python numbers
+    v = [_linear(Poly.const(nvars, row[0]), zip(row[1:], range(m, nvars)))
+         for row in C.tolist()]
+    chart = [Poly.var(nvars, i) * v[j] for i in range(m) for j in range(n)]
     scale = float(np.max(np.abs(Lam * U))) + 1.0
 
     def degen(coords, Y, tol):
         return bool(np.max(np.abs(Y)) < tol * scale)
 
-    return PolySystem(
-        variables=variables, equations=equations, var_labels=labels,
-        reconstruct=rec, degenerate=degen,
-        potential=q, grad_map=tuple(range(nvars)),
-        chart_tag="default" if col_mix is None else "mixed",
-    )
+    return _chart_system(
+        variables, labels, chart, (1.0 / Lam).ravel().tolist(),
+        (Lam * U).ravel().tolist(), lambda vec: vec.reshape(m, n), degen,
+        chart_tag="default" if col_mix is None else "mixed")
 
 
 def rank1_direct(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
@@ -292,9 +304,18 @@ def rank1_direct(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
     return dual_rank1(Lam * U, 1.0 / Lam, col_mix=col_mix)
 
 
+def _kernel_columns(mix: np.ndarray, k: int, offset: int, nvars: int) -> list[list[Poly]]:
+    """The k columns of mix @ [[I_k], [v]] as polys, v the block of variables
+    from ``offset`` on (row-major, k per row)."""
+    r = len(mix) - k
+    return [[_linear(Poly.const(nvars, row[col]),
+                     ((row[k + vi], offset + vi * k + col) for vi in range(r)))
+             for row in mix.tolist()] for col in range(k)]
+
+
 def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
                  right_mix: np.ndarray | None = None) -> PolySystem:
-    """Kernel-chart formulation for rank <= r with linear/affine constraints.
+    """Kernel-chart formulation for rank <= r on the instance's section.
 
     Y (m x (m-r), identity block on top) spans the left kernel and
     Z (n x (n-r), identity block on top) the right kernel; the products of
@@ -302,13 +323,13 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
     Y^t X = 0, X Z = 0, the constraints, and the mn Lagrange rows
     [w 1] . [N; dL; lambda (x - u)] = 0.  Overdetermined by (m-r)(n-r).
 
+    Any family: x holds the m n matrix entries, and ``instance.section()``
+    adds the family's own linear conditions to the constraints.
+
     Optional left/right mixes replace the identity blocks by a generic chart;
     solving in a second chart recovers points whose kernels are not graded
     compatibly with the plain one.
     """
-    if instance.family != "dense":
-        raise ValueError("normal-space formulation expects matrix coordinates; "
-                         "structured families have dedicated formulations")
     m, n, r = instance.m, instance.n, instance.r
     C, const = instance.section()
     s = len(const)
@@ -326,51 +347,18 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
 
     ML = np.eye(m, dtype=complex) if left_mix is None else np.asarray(left_mix, dtype=complex)
     MR = np.eye(n, dtype=complex) if right_mix is None else np.asarray(right_mix, dtype=complex)
-    # coefficients as Python numbers
-    ml, mr = ML.tolist(), MR.tolist()
-    lam, u = instance.weights.as_array().tolist(), instance.data_array().tolist()
+    lam = instance.weights.as_array().ravel().tolist()
+    u = instance.data_array().ravel().tolist()
+    # Y = ML @ [[I_a], [y]] and Z = MR @ [[I_b], [z]]
+    ycols = _kernel_columns(ML, a, n_x, nvars)
+    zcols = _kernel_columns(MR, b, n_x + n_y, nvars)
+    zero = Poly.const(nvars, 0.0)
 
-    # Y = ML @ [[I_a], [y]], column k; entries as polys in the y block
-    def Ycol(k):
-        col = []
-        for row in range(m):
-            p = Poly.const(nvars, ml[row][k])
-            for yi in range(r):
-                cf = ml[row][a + yi]
-                if cf != 0:
-                    p = p + cf * Poly.var(nvars, n_x + yi * a + k)
-            col.append(p)
-        return col
-
-    def Zcol(k):
-        col = []
-        for row in range(n):
-            p = Poly.const(nvars, mr[row][k])
-            for zi in range(r):
-                cf = mr[row][b + zi]
-                if cf != 0:
-                    p = p + cf * Poly.var(nvars, n_x + n_y + zi * b + k)
-            col.append(p)
-        return col
-
-    ycols = [Ycol(k) for k in range(a)]
-    zcols = [Zcol(k) for k in range(b)]
-
-    equations: list[Poly] = []
-    # Y^t X = 0 : a x n
-    for k in range(a):
-        for j in range(n):
-            eq = Poly.const(nvars, 0.0)
-            for i in range(m):
-                eq = eq + ycols[k][i] * xv(i, j)
-            equations.append(eq)
-    # X Z = 0 : m x b
-    for i in range(m):
-        for k in range(b):
-            eq = Poly.const(nvars, 0.0)
-            for j in range(n):
-                eq = eq + xv(i, j) * zcols[k][j]
-            equations.append(eq)
+    # Y^t X = 0 (a x n), then X Z = 0 (m x b)
+    equations = [sum((ycols[k][i] * xv(i, j) for i in range(m)), zero)
+                 for k in range(a) for j in range(n)]
+    equations += [sum((xv(i, j) * zcols[k][j] for j in range(n)), zero)
+                  for i in range(m) for k in range(b)]
     # the section
     constraint_polys = _affine_polys(C, const, nvars)
     equations.extend(constraint_polys)
@@ -378,31 +366,22 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
     # Lagrange rows: one per matrix position
     w_off = n_x + n_y + n_z
     lagrange_start = len(equations)
-    for i in range(m):
-        for j in range(n):
-            eq = lam[i][j] * (xv(i, j) - u[i][j])
-            for kz in range(b):
-                for ky in range(a):
-                    widx = w_off + kz * a + ky
-                    eq = eq + Poly.var(nvars, widx) * (ycols[ky][i] * zcols[kz][j])
-            for q, cf in enumerate(C[:, i * n + j].tolist()):
-                if cf:
-                    eq = eq + cf * Poly.var(nvars, w_off + a * b + q)
-            equations.append(eq)
+    for p in range(n_x):
+        i, j = divmod(p, n)
+        eq = lam[p] * (xv(i, j) - u[p])
+        for kz in range(b):
+            for ky in range(a):
+                widx = w_off + kz * a + ky
+                eq = eq + Poly.var(nvars, widx) * (ycols[ky][i] * zcols[kz][j])
+        equations.append(_linear(eq, zip(C[:, p].tolist(), range(w_off + a * b, nvars))))
 
-    potential = Poly.const(nvars, 0.0)
-    for i in range(m):
-        for j in range(n):
-            d = xv(i, j) - u[i][j]
-            potential = potential + (0.5 * lam[i][j]) * (d * d)
+    potential = _squares([Poly.var(nvars, p) for p in range(n_x)],
+                         [0.5 * x for x in lam], u, nvars)
     for kz in range(b):
         for ky in range(a):
-            widx = w_off + kz * a + ky
-            inner = Poly.const(nvars, 0.0)
-            for i in range(m):
-                for j in range(n):
-                    inner = inner + (ycols[ky][i] * zcols[kz][j]) * xv(i, j)
-            potential = potential + Poly.var(nvars, widx) * inner
+            inner = sum(((ycols[ky][i] * zcols[kz][j]) * xv(i, j)
+                         for i in range(m) for j in range(n)), zero)
+            potential = potential + Poly.var(nvars, w_off + kz * a + ky) * inner
     for q, cp in enumerate(constraint_polys):
         potential = potential + Poly.var(nvars, w_off + a * b + q) * cp
     grad_map = tuple(
@@ -439,7 +418,7 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
 
     return PolySystem(
         variables=variables, equations=equations, var_labels=labels,
-        reconstruct=instance.structure().matrix_from_coords,
+        reconstruct=lambda coords: np.array(coords[:n_x]).reshape(m, n),
         instance=instance, degenerate=degen,
         potential=potential, grad_map=grad_map,
         chart_tag="default" if left_mix is None and right_mix is None else "mixed",
@@ -525,24 +504,10 @@ def hankel_rank1(instance: Instance) -> PolySystem:
     if instance.constraints:
         raise ValueError("structured families do not take extra constraints")
     st = instance.structure()
-    n = st.n_coords
-    w = [float(x) for x in st.coordinate_weights(instance.weights)]
-    u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
-
     sv, tv = Poly.var(2, 0), Poly.var(2, 1)
     tpow = [Poly.const(2, 1.0)]
-    for _ in range(n - 1):
+    for _ in range(st.n_coords - 1):
         tpow.append(tpow[-1] * tv)
-    g = Poly.const(2, 0.0)
-    for k in range(n):
-        resid = sv * tpow[k] - u[k]
-        g = g + w[k] * (resid * resid)
-    equations = [g.diff(0), g.diff(1)]
-
-    def rec(coords: np.ndarray) -> np.ndarray:
-        s_, t_ = coords[0], coords[1]
-        vec = np.array([s_ * t_ ** k for k in range(n)])
-        return st.matrix_from_coords(vec)
 
     def degen(coords, X, tol):
         # t = 0 hits the chart boundary; s = 0 collapses to the cone point
@@ -550,20 +515,17 @@ def hankel_rank1(instance: Instance) -> PolySystem:
         scale = 1.0 + float(np.max(np.abs(coords)))
         return bool(abs(coords[1]) < tol * scale or abs(coords[0]) < tol * scale)
 
-    return PolySystem(
-        variables=("s", "t"), equations=equations, var_labels=("s", "t"),
-        reconstruct=rec, degenerate=degen,
-        potential=g, grad_map=(0, 1),
-    )
+    return _chart_system(("s", "t"), ("s", "t"), [sv * tp for tp in tpow],
+                         *_coordinates(instance), st.matrix_from_coords, degen)
 
 
-# Catalecticant chart: x_key as a polynomial in (a, b, c, d, e, f).
-# Monomials of the quartic (s + b t + c u)^4 contribute b^i c^j per key "4-i-j".
-def _catalecticant_chart_polys() -> dict[str, Poly]:
+# Catalecticant chart: each coordinate as a polynomial in (a, b, c, d, e, f).
+# Monomials of the quartic (s + b t + c u)^4 contribute b^i c^j to "4-i-j".
+def _catalecticant_chart_polys() -> list[Poly]:
     av, bv, cv, dv, ev, fv = (Poly.var(6, i) for i in range(6))
-    out: dict[str, Poly] = {}
+    out: list[Poly] = []
     for name in catalecticant_structure().coord_names:
-        p4, i, j = (int(ch) for ch in name)
+        _, i, j = (int(ch) for ch in name)
         term1 = av
         term2 = dv
         for _ in range(i):
@@ -572,7 +534,7 @@ def _catalecticant_chart_polys() -> dict[str, Poly]:
         for _ in range(j):
             term1 = term1 * cv
             term2 = term2 * fv
-        out[name] = term1 + term2
+        out.append(term1 + term2)
     return out
 
 
@@ -590,25 +552,6 @@ def catalecticant_rank2(instance: Instance) -> PolySystem:
         raise ValueError("the rank-2 catalecticant chart needs a catalecticant instance")
     if instance.constraints:
         raise ValueError("structured families do not take extra constraints")
-    st = instance.structure()
-    w = [float(x) for x in st.coordinate_weights(instance.weights)]
-    u = [float(x) for x in st.coords_from_matrix(instance.data_array())]
-
-    charts = _catalecticant_chart_polys()
-    g = Poly.const(6, 0.0)
-    for k, name in enumerate(st.coord_names):
-        resid = charts[name] - u[k]
-        g = g + w[k] * (resid * resid)
-    equations = [g.diff(i) for i in range(6)]
-
-    def rec(coords: np.ndarray) -> np.ndarray:
-        a, b, c, d, e, f = coords
-        vals = {}
-        for name in st.coord_names:
-            _, i, j = (int(ch) for ch in name)
-            vals[name] = a * b ** i * c ** j + d * e ** i * f ** j
-        vec = np.array([vals[name] for name in st.coord_names])
-        return st.matrix_from_coords(vec)
 
     def degen(coords, X, tol):
         a, b, c, d, e, f = coords
@@ -621,9 +564,6 @@ def catalecticant_rank2(instance: Instance) -> PolySystem:
         a, b, c, d, e, f = coords
         return np.array([d, e, f, a, b, c])
 
-    return PolySystem(
-        variables=("a", "b", "c", "d", "e", "f"), equations=equations,
-        var_labels=("a", "b", "c", "a", "b", "c"),
-        reconstruct=rec, degenerate=degen, symmetry=swap,
-        potential=g, grad_map=tuple(range(6)),
-    )
+    return _chart_system(("a", "b", "c", "d", "e", "f"), ("a", "b", "c", "a", "b", "c"),
+                         _catalecticant_chart_polys(), *_coordinates(instance),
+                         instance.structure().matrix_from_coords, degen, swap)

@@ -278,7 +278,7 @@ def test_conjugate_closure_and_residual_bounds():
     nonreal = [p for p in ss.points if not p.is_real]
     assert len(nonreal) % 2 == 0
     system = sy.rank1_direct(rey.data_array(), rey.weights.as_array())
-    scale = system.coefficient_scale()
+    scale = sv.CompiledSystem(system.equations, system.n_vars).coeff_scale
     for p in ss.points:
         assert p.residual < 1e-8 * (1.0 + scale)
 
@@ -364,6 +364,43 @@ def test_rank_one_weights_predict_the_unit_weight_count(weights, data, seed):
     ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=seed))
     assert ss.predicted == 2 == ss.n_complex
     assert not st.WeightMatrix.from_rows([[1, 2], [3, 4]]).is_rank_one()
+
+
+def test_rank_one_weights_with_a_section_predict_like_unit_weights():
+    # Lam = a b^T rescales to unit weights on a section of the same kind and
+    # codimension: the conjectured corank-one value, or no prediction at all
+    square = st.dense_instance(3, 3, 2, seed=1, s=1).with_weights(
+        st.WeightMatrix.from_rows([[6, 2, 4], [3, 1, 2], [9, 3, 6]]))
+    assert sv._predict(square) == (15, "conjectured unit-weight value")
+    wide = st.dense_instance(2, 3, 1, seed=1, s=2).with_weights(
+        st.WeightMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
+    assert wide.weights.is_rank_one()
+    assert sv._predict(wide)[0] is None
+
+
+def test_auto_seeds_square_corank_one_sections():
+    inst = st.dense_instance(3, 3, 2, seed=1, s=1)
+    assert sv.default_formulation(inst) == "normal"
+    ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=1))
+    assert ss.stats.start_kind == "seeded"
+    assert ss.n_complex == ss.predicted == 39
+
+
+def test_normal_space_solves_a_structured_section():
+    # the Hankel structure enters as the section's linear rows; the seeded
+    # normal chart returns the primal chart's points, in far fewer paths
+    hankel = st.load_dataset("hankel33").with_weights(
+        st.hankel_weights(5, "omega")).with_rank(2)
+    cfg = sv.TrackerConfig(seed=1)
+    normal = sv.solve(hankel, "normal", cfg)
+    primal = sv.solve(hankel, "primal", cfg)
+    assert normal.stats.start_kind == "seeded"
+    assert normal.stats.n_paths <= 40
+    assert normal.n_complex == primal.n_complex == normal.predicted == 13
+    assert normal.n_real == primal.n_real
+    assert normal.n_local_min == primal.n_local_min
+    for p in normal.points:
+        assert min(np.max(np.abs(p.X - q.X)) for q in primal.points) < 1e-6
 
 
 def test_structured_instance_with_constraints_has_no_prediction():

@@ -78,12 +78,6 @@ def test_normal_space_shape_and_gradient():
     assert fd_gradient_error(system, npts=6) < 1e-6
 
 
-def test_normal_space_rejects_structured():
-    h5 = st.load_dataset("hankel33")
-    with pytest.raises(ValueError, match="matrix coordinates"):
-        sy.normal_space(h5)
-
-
 def test_hankel_rank1_gradient_and_predicate():
     h5 = st.load_dataset("hankel33")
     system = sy.hankel_rank1(h5.with_weights(st.hankel_weights(5, "theta")))
@@ -164,15 +158,6 @@ def test_unit_weight_critical_counts():
     assert sy.unit_weight_critical_count(3, 3, 2) == 3
     assert sy.unit_weight_critical_count(4, 4, 3) == 4
     assert sy.unit_weight_critical_count(3, 4, 1) == 3
-
-
-def test_residual_function():
-    eqs = [Poly(1, {(2,): 1.0, (0,): -4.0})]
-    from slra.systems import PolySystem
-    system = PolySystem(variables=("x",), equations=eqs, var_labels=("x",),
-                        reconstruct=lambda c: np.array([[c[0]]]))
-    assert sy.residual(system, [2.0]) == pytest.approx(0.0)
-    assert sy.residual(system, [1.0]) == pytest.approx(3.0)
 
 
 def test_structured_primal_uses_coordinates():
