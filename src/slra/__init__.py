@@ -3,7 +3,7 @@ low-rank approximation.
 
 Modules
     polyarith   sparse polynomials: exact int or float/complex coefficients
-    chow        Schubert-calculus engine for determinantal ED degrees
+    chow        localization engine for determinantal ED degrees
     eddegree    closed-form sectional ED degree calculators
     structured  matrix families, weights, instances, datasets
     systems     critical-point polynomial system builders

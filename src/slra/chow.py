@@ -4,15 +4,20 @@ The m x n matrices of rank <= r (m <= n) are resolved by the projective
 bundle P(E) over the Grassmannian Gr(r, m), with E = S^n for the tautological
 subbundle S.  Every integral over P(E) is pushed forward to Gr(r, m) through
 pi_*(zeta^(e-1+k)) = s_k(E), where s(E) = c(S)^-n = c(Q)^n, so the only ring
-needed is the Chow ring of Gr(r, m).  Classes are kept in its Schubert basis:
+needed is the Chow ring of Gr(r, m).  It is computed by localization (Bott's
+residue formula, as in Ellingsrud and Stromme):
 
-  * sigma_lambda indexed by partitions inside the r x (m-r) box,
-  * general products via the Giambelli determinant expanded through iterated
-    Pieri steps,
-  * the integral of a class is its coefficient of the box class, and the
-    integral of a product of two classes pairs complementary partitions
-    without forming the product,
-  * everything over exact integers, truncated eagerly above the top degree.
+  * the torus acting on C^m with weights 0..m-1 fixes the C(m, r) coordinate
+    subspaces I of Gr(r, m); a class is kept by the graded values of an
+    equivariant lift at these points, and c(S), c(Q) restrict to I as
+    prod_(i in I) (1 + w_i) and prod_(j not in I) (1 + w_j),
+  * a product is the pointwise product, truncated above the top degree,
+  * the integral of a class is sum_I a(I) / e(I), with the tangent Euler
+    class e(I) = prod (w_j - w_i) over i in I, j not in I,
+  * everything over exact integers; a sum that is not integral raises.
+
+Lifts are not unique (c(S) c(Q) restricts to prod_i (1 + w_i), not to 1), but
+their integrals are: identities between classes hold as integrals.
 
 The entry point ed_generic_determinantal(m, n, r, s) evaluates the sectional
 generic ED degree of the rank <= r locus cut by a generic codimension-s
@@ -22,235 +27,116 @@ linear space.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import comb
+from itertools import combinations
+from math import comb, lcm, prod
 
 from .polyarith import Poly
 
-Partition = tuple[int, ...]
 
-
-def normalize_partition(parts) -> Partition:
-    """Drop trailing zeros and validate weak decrease."""
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if any(x < 0 for x in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError(f"not a partition: {parts}")
-    return p
-
-
-def partitions_in_box(rows: int, cols: int) -> list[Partition]:
-    """All partitions with at most `rows` parts, each at most `cols`."""
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], maxpart: int, depth: int):
-        out.append(tuple(prefix))
-        if depth == rows:
-            return
-        for part in range(min(maxpart, cols), 0, -1):
-            rec(prefix + [part], part, depth + 1)
-
-    rec([], cols, 0)
-    out.sort(key=lambda p: (sum(p), p))
+def _elementary(weights) -> list[int]:
+    """e_0..e_k of k integers: the coefficients of prod (1 + w t)."""
+    out = [1]
+    for w in weights:
+        out = [a + w * b for a, b in zip(out + [0], [0] + out)]
     return out
 
 
-class GrassmannianRing:
-    """Chow ring of Gr(r, m): rank-r subbundles S of O^m, quotient Q.
-
-    Schubert classes sigma_lambda for lambda inside the r x (m-r) box, graded
-    by |lambda| with top degree r(m-r); the integral of the box class is 1.
-    """
+class ChowRing:
+    """Chow ring of Gr(r, m), rank-r subbundles S of O^m with quotient Q:
+    classes by their values at the torus-fixed points, top degree r(m-r)."""
 
     def __init__(self, r: int, m: int):
         if not 0 < r <= m:
             raise ValueError("need 0 < r <= m")
         self.r = r
         self.m = m
-        self.cols = m - r
-        self.dim = r * self.cols
-        self.box: Partition = normalize_partition((self.cols,) * r)
-        self.partitions = partitions_in_box(r, self.cols)
-        self._pset = set(self.partitions)
-        # the complement in the box: sigma_lam * sigma_dual[lam] = sigma_box
-        self.dual = {lam: normalize_partition([self.cols - x for x in
-                                               (lam + (0,) * (r - len(lam)))[::-1]])
-                     for lam in self.partitions}
-        self._mult_cache: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-
-    # -- Schubert combinatorics ---------------------------------------------
-
-    def pieri(self, lam: Partition, k: int) -> dict[Partition, int]:
-        """sigma_lam * sigma_k: horizontal strips of size k inside the box."""
-        if k == 0:
-            return {lam: 1} if lam in self._pset else {}
-        if k < 0 or k > self.cols:
-            return {}
-        out: dict[Partition, int] = {}
-        lamx = lam + (0,) * (self.r - len(lam))
-
-        def rec(i: int, remaining: int, built: list[int]):
-            if i == self.r:
-                if remaining == 0:
-                    out[normalize_partition(built)] = 1
-                return
-            lo = lamx[i]
-            hi = self.cols if i == 0 else min(built[i - 1], lamx[i - 1])
-            # new row length mu_i with lam_i <= mu_i <= min(lam_{i-1}, mu_{i-1})
-            for mu_i in range(lo, hi + 1):
-                add = mu_i - lo
-                if add > remaining:
-                    break
-                rec(i + 1, remaining - add, built + [mu_i])
-
-        rec(0, k, [])
-        return out
-
-    def _giambelli_terms(self, mu: Partition) -> dict[tuple[int, ...], int]:
-        """Expand sigma_mu = det(sigma_{mu_i + j - i}) into special-class words."""
-        ell = len(mu)
-        if ell <= 1:
-            return {tuple(mu): 1}
-        out: dict[tuple[int, ...], int] = {}
-        for perm in permutations(range(ell)):
-            degs = []
-            ok = True
-            for i in range(ell):
-                d = mu[i] + perm[i] - i
-                if d < 0 or d > self.cols:
-                    ok = False
-                    break
-                if d > 0:
-                    degs.append(d)
-            if not ok:
-                continue
-            sign = 1
-            for i in range(ell):
-                for j in range(i + 1, ell):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            key = tuple(sorted(degs, reverse=True))
-            out[key] = out.get(key, 0) + sign
-        return {k: v for k, v in out.items() if v}
-
-    def schubert_mult(self, lam: Partition, mu: Partition) -> dict[Partition, int]:
-        """Product of two Schubert basis classes, truncated to the box."""
-        if sum(lam) + sum(mu) > self.dim:
-            return {}
-        if sum(mu) > sum(lam):
-            lam, mu = mu, lam
-        key = (lam, mu)
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
-        total: dict[Partition, int] = {}
-        for word, coeff in self._giambelli_terms(mu).items():
-            acc: dict[Partition, int] = {lam: coeff}
-            for k in word:
-                nxt: dict[Partition, int] = {}
-                for nu, c in acc.items():
-                    for rho in self.pieri(nu, k):
-                        nxt[rho] = nxt.get(rho, 0) + c
-                acc = nxt
-                if not acc:
-                    break
-            for nu, c in acc.items():
-                v = total.get(nu, 0) + c
-                if v:
-                    total[nu] = v
-                else:
-                    del total[nu]
-        self._mult_cache[key] = total
-        return total
-
-
-class ChowRing:
-    """Chow ring of a Grassmannian: classes in the Schubert basis sigma_lambda."""
-
-    def __init__(self, grass: GrassmannianRing):
-        self.grass = grass
-        self.dim = grass.dim
+        self.dim = r * (m - r)
+        self.points = list(combinations(range(m), r))
+        euler = [prod(j - i for i in pt for j in range(m) if j not in pt)
+                 for pt in self.points]
+        # Bott's sum over a common denominator: sum_I a(I) (L / e(I)) / L
+        self._denom = lcm(*euler)
+        self._scale = [self._denom // e for e in euler]
 
     # -- class constructors --------------------------------------------------
 
-    def zero(self) -> "ChowClass":
-        return ChowClass(self, {})
-
     def one(self) -> "ChowClass":
-        return ChowClass(self, {(): 1})
+        return ChowClass(self, {0: (1,) * len(self.points)})
 
-    def sigma(self, parts) -> "ChowClass":
-        lam = normalize_partition(parts)
-        if lam not in self.grass._pset:
-            return self.zero()
-        return ChowClass(self, {lam: 1})
+    def _from_weights(self, pick) -> "ChowClass":
+        """The class prod (1 + w) over the weights pick(I) at each point I."""
+        cols = [_elementary(pick(pt)) for pt in self.points]
+        return ChowClass(self, {d: tuple(c[d] for c in cols)
+                                for d in range(min(len(cols[0]), self.dim + 1))})
 
     def chern_sub(self) -> "ChowClass":
-        """c(S) of the tautological subbundle: c_i(S) = (-1)^i sigma_(1^i)."""
-        return sum(((-1) ** i * self.sigma((1,) * i) for i in range(self.grass.r + 1)),
-                   self.zero())
+        """c(S) of the tautological subbundle."""
+        return self._from_weights(lambda pt: pt)
 
     def chern_quot(self) -> "ChowClass":
-        """c(Q) of the tautological quotient: c_j(Q) = sigma_j."""
-        return sum((self.sigma((j,)) for j in range(self.grass.cols + 1)), self.zero())
+        """c(Q) of the tautological quotient."""
+        return self._from_weights(lambda pt: [j for j in range(self.m) if j not in pt])
 
     # -- arithmetic core -----------------------------------------------------
 
     def multiply(self, a: "ChowClass", b: "ChowClass") -> "ChowClass":
         if a.ring is not b.ring or a.ring is not self:
             raise ValueError("classes live in different rings")
-        out: dict[Partition, int] = {}
-        for lam, c1 in a.terms.items():
-            for mu, c2 in b.terms.items():
-                c = c1 * c2
-                for nu, cs in self.grass.schubert_mult(lam, mu).items():
-                    out[nu] = out.get(nu, 0) + c * cs
+        out: dict[int, list[int]] = {}
+        for i, x in a.terms.items():
+            for j, y in b.terms.items():
+                if i + j > self.dim:
+                    continue
+                term = [u * v for u, v in zip(x, y)]
+                acc = out.get(i + j)
+                out[i + j] = term if acc is None else [s + t for s, t in zip(acc, term)]
         return ChowClass(self, out)
 
+    def _bott(self, values) -> int:
+        """sum_I values[I] / e(I), which must be an integer."""
+        q, rem = divmod(sum(s * v for s, v in zip(self._scale, values)), self._denom)
+        if rem:
+            raise ArithmeticError("Bott sum is not integral")
+        return q
+
     def integral(self, a: "ChowClass") -> int:
-        """Degree of the zero-cycle part: the coefficient of sigma_box."""
-        return a.terms.get(self.grass.box, 0)
+        """Degree of the zero-cycle part."""
+        return self._bott(a.terms.get(self.dim, ()))
 
     def pairing(self, a: "ChowClass", b: "ChowClass") -> int:
-        """The integral of a * b without forming it: sigma_lam * sigma_mu
-        integrates to 1 when mu is lam's complement in the box, else to 0."""
-        dual = self.grass.dual
-        return sum(c * b.terms.get(dual[lam], 0) for lam, c in a.terms.items())
+        """The integral of a * b without forming it: only the degree-dim
+        values are summed."""
+        top = [0] * len(self.points)
+        for i, x in a.terms.items():
+            y = b.terms.get(self.dim - i)
+            if y is not None:
+                top = [t + u * v for t, u, v in zip(top, x, y)]
+        return self._bott(top)
 
 
 class ChowClass:
-    """Element of a ChowRing: Schubert coefficients keyed by partition."""
+    """Element of a ChowRing: per degree, the values at the fixed points.
+    There is no equality test, since two lifts of one class may differ."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: ChowRing, terms: dict[Partition, int]):
+    def __init__(self, ring: ChowRing, terms: dict[int, tuple[int, ...]]):
         self.ring = ring
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = {d: tuple(v) for d, v in terms.items() if any(v)}
 
-    def __add__(self, other) -> "ChowClass":
-        if isinstance(other, int):
-            other = other * self.ring.one()
+    def __add__(self, other: "ChowClass") -> "ChowClass":
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+        for d, v in other.terms.items():
+            out[d] = tuple(a + b for a, b in zip(out[d], v)) if d in out else v
         return ChowClass(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ring, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> "ChowClass":
-        return self + (-other if isinstance(other, ChowClass) else -other)
 
     def __mul__(self, other) -> "ChowClass":
         if isinstance(other, int):
-            return ChowClass(self.ring, {k: other * v for k, v in self.terms.items()})
+            return ChowClass(self.ring, {d: tuple(other * x for x in v)
+                                         for d, v in self.terms.items()})
         return self.ring.multiply(self, other)
 
-    def __rmul__(self, other) -> "ChowClass":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ChowClass":
         out = self.ring.one()
@@ -258,27 +144,14 @@ class ChowClass:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.terms == (other * self.ring.one()).terms
-        return self.ring is other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def graded_part(self, d: int) -> "ChowClass":
-        return ChowClass(self.ring,
-                         {lam: v for lam, v in self.terms.items() if sum(lam) == d})
+        return ChowClass(self.ring, {d: self.terms[d]} if d in self.terms else {})
 
     def integral(self) -> int:
         return self.ring.integral(self)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{v}*s{list(lam)}" if lam else f"{v}"
-                          for lam, v in sorted(self.terms.items(),
-                                               key=lambda t: (sum(t[0]), t[0])))
+        return " + ".join(f"deg {d}: {list(v)}" for d, v in sorted(self.terms.items())) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -332,18 +205,19 @@ def _power_sums(n: int, offset: int, rank: int, top: int) -> list[Poly]:
 
 @lru_cache(maxsize=None)
 def grassmannian_ring(r: int, m: int) -> ChowRing:
-    """The Chow ring of Gr(r, m), shared with its product cache by every n."""
-    return ChowRing(GrassmannianRing(r, m))
+    """The Chow ring of Gr(r, m) with its fixed points, shared by every n."""
+    return ChowRing(r, m)
 
 
 @lru_cache(maxsize=None)
 def grassmannian_tangent(r: int, m: int) -> ChowClass:
-    """c(T Gr(r, m)) = c(S^dual (x) Q), where c_i(S^dual) = sigma_(1^i) and
-    c_j(Q) = sigma_j.  Each monomial of _tensor_universal is one product of a
-    shorter monomial with a single Schubert class."""
+    """c(T Gr(r, m)) = c(S^dual (x) Q), where c_i(S^dual) = (-1)^i c_i(S).
+    Each monomial of _tensor_universal is one product of a shorter monomial
+    with a single graded part of c(S) or c(Q)."""
     ring = grassmannian_ring(r, m)
-    gens = ([ring.sigma((1,) * i) for i in range(1, r + 1)]
-            + [ring.sigma((j,)) for j in range(1, m - r + 1)])
+    sub, quot = ring.chern_sub(), ring.chern_quot()
+    gens = ([(-1) ** i * sub.graded_part(i) for i in range(1, r + 1)]
+            + [quot.graded_part(j) for j in range(1, m - r + 1)])
     monomials = {(0,) * len(gens): ring.one()}
 
     def monomial(exps: tuple[int, ...]) -> ChowClass:

@@ -198,11 +198,6 @@ def hankel_ed_polynomial(r: int) -> IntegerPolynomial:
     return IntegerPolynomial(tuple(coeffs))
 
 
-def hankel_ed_square_determinant(r: int) -> int:
-    """ED degree (3^(r+1)-1)/2 of the square (r+1) x (r+1) Hankel determinant."""
-    return (3 ** (r + 1) - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # Unit-weight corank-one correction (conjectural)
 # ---------------------------------------------------------------------------

@@ -1220,7 +1220,8 @@ def default_formulation(instance: Instance) -> str:
     if instance.family == "catalecticant":
         return "catalecticant"
     if instance.family != "dense":
-        return "primal"
+        square_corank1 = instance.m == instance.n and instance.r == instance.n - 1
+        return "primal" if square_corank1 else "normal"
     if not instance.constraints and instance.r in (1, min(instance.m, instance.n) - 1):
         return "dual-rank1"
     return "normal"

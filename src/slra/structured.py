@@ -309,10 +309,6 @@ class LinearConstraint:
     def coeff_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.coeffs])
 
-    def evaluate(self, X: np.ndarray):
-        value = np.sum(self.coeff_array() * np.asarray(X)) + float(self.constant)
-        return float(value.real) if np.isrealobj(X) else complex(value)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -382,9 +378,6 @@ class Instance:
         if not self.constraints:
             return "linear"
         return "affine" if any(c.is_affine for c in self.constraints) else "linear"
-
-    def is_unit_weights(self) -> bool:
-        return all(x == 1 for row in self.weights.rows for x in row)
 
     def with_weights(self, weights: WeightMatrix) -> "Instance":
         return Instance(self.m, self.n, self.r, self.family, self.U, weights,

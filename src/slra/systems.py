@@ -124,15 +124,6 @@ def objective(X: np.ndarray, U: np.ndarray, Lam: np.ndarray) -> complex:
     return complex(np.sum(np.asarray(Lam) * D * D))
 
 
-def eckart_young(U: np.ndarray, r: int) -> np.ndarray:
-    """Closest rank <= r matrix in unweighted Frobenius distance."""
-    U = np.asarray(U, dtype=float)
-    u, s, vt = np.linalg.svd(U, full_matrices=False)
-    s = s.copy()
-    s[r:] = 0.0
-    return (u * s) @ vt
-
-
 def unit_weight_critical_count(m: int, n: int, r: int) -> int:
     """Critical points of the unit-weight unconstrained problem: one per
     choice of r singular values to keep."""

@@ -3,6 +3,13 @@
 import numpy as np
 
 
+def eckart_young(U: np.ndarray, r: int) -> np.ndarray:
+    """Closest rank <= r matrix in unweighted Frobenius distance."""
+    u, s, vt = np.linalg.svd(np.asarray(U, dtype=float), full_matrices=False)
+    s[r:] = 0.0
+    return (u * s) @ vt
+
+
 def fd_gradient_error(system, npts=20, h=1e-5, seed=3):
     """Max relative error between stored gradient equations and central
     finite differences of the system's scalar potential."""

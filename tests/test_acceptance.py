@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import eckart_young
 
 from slra import chow, eddegree, solver, structured, systems
 from slra.cli import reproduce_catalecticant_count
@@ -116,7 +117,7 @@ def test_criterion_2_generic_sequences():
             ok, detail = False, f"({m},{n},{r}): {got}"
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
-    report(2, "intermediate-rank sectional sequences via the Schubert engine "
+    report(2, "intermediate-rank sectional sequences via the localization engine "
               f"(exact, {elapsed:.3f}s < 10s)", ok, detail)
 
 
@@ -237,7 +238,7 @@ def test_criterion_8_seeded_small_instances():
         inst = structured.dense_instance(3, 3, 2, seed=seed, weights="unit")
         ss = solver.solve(inst, "dual-rank1", solver.TrackerConfig(seed=seed))
         best = ss.closest()
-        ey = systems.eckart_young(inst.data_array(), 2)
+        ey = eckart_young(inst.data_array(), 2)
         good = (ss.n_complex == 3 and best is not None
                 and np.max(np.abs(np.real(best.X) - ey)) < 1e-6)
         results.append((f"3x3 unit seed={seed}", good, ss.n_complex, 3))
@@ -255,11 +256,17 @@ def test_criterion_9_duality_bijection():
     for seed in (41, 42, 43, 44, 45):
         inst = structured.dense_instance(3, 3, 2, seed=seed)
         U, Lam = inst.data_array(), inst.weights.as_array()
+        # the Hadamard dual: rank one on data Lam * U with weights 1 / Lam
+        dual = structured.Instance(
+            m=3, n=3, r=1, family="dense",
+            U=tuple(tuple(int(w * u) for w, u in zip(wrow, urow))
+                    for wrow, urow in zip(inst.weights.rows, inst.U)),
+            weights=structured.WeightMatrix.from_rows(
+                [[1 / w for w in row] for row in inst.weights.rows]))
         cfg = solver.TrackerConfig(seed=seed, charts=1)
-        corank = solver.solve(inst, "primal", cfg)
-        raw = solver.solve_system(systems.dual_rank1(U, Lam), cfg)
-        rank1 = solver._dedup(raw, solver.DEDUP_TOL)
-        ys = [entry[1] for entry in rank1]
+        corank = solver.solve(inst, "normal", cfg)
+        rank1 = solver.solve(dual, "normal", cfg)
+        ys = [p.X for p in rank1.points]
         matched = 0
         for p in corank.points:
             yt = systems.dual_transfer(p.X, Lam, U)
@@ -267,9 +274,7 @@ def test_criterion_9_duality_bijection():
                        for y in ys)
             if dist < 1e-6:
                 matched += 1
-        n_real_x = corank.n_real
-        n_real_y = sum(1 for y in ys if np.max(np.abs(np.imag(y)))
-                       < 1e-8 * (1.0 + np.max(np.abs(y))))
+        n_real_x, n_real_y = corank.n_real, rank1.n_real
         good = (corank.n_complex == len(ys) == matched == 39
                 and n_real_x == n_real_y)
         ok &= good
@@ -283,7 +288,7 @@ def test_criterion_9_duality_bijection():
 
 def test_criterion_10_property_suite():
     from conftest import fd_gradient_error
-    from test_chow import oracle_product
+    from test_chow import oracle_special_integral, quotient_monomial, special_words
 
     ok = True
     details = []
@@ -324,18 +329,19 @@ def test_criterion_10_property_suite():
         ok = False
         details.append("rerun determinism failed")
 
-    # Pieri multiplication vs the Chern-root oracle up to ambient rank 5
+    # Bott integrals of special-class products vs the Chern-root oracle up to
+    # ambient rank 5
     for (r, m) in [(1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5),
                    (3, 5), (4, 5)]:
         ring = chow.grassmannian_ring(r, m)
-        for i, lam in enumerate(ring.grass.partitions):
-            for mu in ring.grass.partitions[i:]:
-                if ring.grass.schubert_mult(lam, mu) != oracle_product(lam, mu, r, m):
-                    ok = False
-                    details.append(f"product mismatch in Gr({r},{m}) at {lam}x{mu}")
+        for word in special_words(ring.dim, m - r):
+            if quotient_monomial(ring, word).integral() != \
+                    oracle_special_integral(word, r, m):
+                ok = False
+                details.append(f"integral mismatch in Gr({r},{m}) at c_{word}(Q)")
 
     report(10, "property suite: gradients, conjugation, determinism, "
-               "Schubert products vs oracle", ok, "; ".join(details))
+               "special-class integrals vs oracle", ok, "; ".join(details))
 
 
 def test_criterion_11_example36():

@@ -6,10 +6,10 @@ from slra import chow, eddegree
 from slra.eddegree import (EDDegreeQuery, affine_section_ed,
                            conjectured_corank1_unit, corank1_unit_gap,
                            ed_degree, hankel_ed_generic,
-                           hankel_ed_polynomial, hankel_ed_square_determinant,
-                           sectional_ed_corank1, sectional_ed_rank1,
-                           segre_face_volumes, segre_polar_classes,
-                           stabilization_bound, sylvester_ed_generic)
+                           hankel_ed_polynomial, sectional_ed_corank1,
+                           sectional_ed_rank1, segre_face_volumes,
+                           segre_polar_classes, stabilization_bound,
+                           sylvester_ed_generic)
 
 
 def test_face_volumes():
@@ -82,7 +82,8 @@ def test_hankel_values():
     assert hankel_ed_generic(4, 1) == 10
     assert hankel_ed_generic(4, 2) == 13
     assert hankel_ed_generic(8, 4) == 121
-    assert hankel_ed_generic(6, 3) == 40 == hankel_ed_square_determinant(3)
+    # the square 4 x 4 Hankel determinant: (3^(r+1) - 1) / 2 with r = 3
+    assert hankel_ed_generic(6, 3) == 40 == (3 ** 4 - 1) // 2
 
 
 def test_hankel_rank_exceeds_format():

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import eckart_young
 
 from slra import solver as sv
 from slra import structured as st
@@ -256,7 +257,7 @@ def test_unit_diag_3x3_truncations_and_classification():
     best = ss.closest()
     assert np.allclose(np.real(best.X), np.diag([3.0, 2.0, 0.0]), atol=1e-8)
     assert best.classification == "local_min"
-    assert np.allclose(np.real(best.X), sy.eckart_young(inst.data_array(), 2),
+    assert np.allclose(np.real(best.X), eckart_young(inst.data_array(), 2),
                        atol=1e-8)
 
 
@@ -384,6 +385,18 @@ def test_auto_seeds_square_corank_one_sections():
     ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=1))
     assert ss.stats.start_kind == "seeded"
     assert ss.n_complex == ss.predicted == 39
+
+
+def test_auto_sends_non_square_structured_instances_to_normal():
+    # the corank-one primal chart needs a square matrix; normal takes any family
+    hankel = st.hankel_instance(6, [3, 1, 4, 1, 5, 9], r=2)
+    assert (hankel.m, hankel.n) == (3, 4)
+    assert sv.default_formulation(hankel) == "normal"
+    sylvester = st.sylvester_instance(2, 3, 1, [1, 2, 3], [1, -1, 2, 5])
+    assert sv.default_formulation(sylvester) == "normal"
+    ss = sv.solve(hankel, "auto", sv.TrackerConfig(seed=1))
+    assert ss.stats.start_kind == "seeded"
+    assert ss.n_complex == ss.predicted == 34
 
 
 def test_normal_space_solves_a_structured_section():

@@ -10,6 +10,11 @@ from hypothesis import strategies as st_
 from slra import structured as st
 
 
+def constraint_value(c: st.LinearConstraint, X: np.ndarray) -> float:
+    """sum coeffs * X + constant."""
+    return float(np.sum(c.coeff_array() * X)) + float(c.constant)
+
+
 def test_hankel_structure_shapes():
     h5 = st.hankel_structure(5)
     assert h5.shape == (3, 3)
@@ -144,7 +149,7 @@ def test_example36_dataset():
     assert L2.coeffs[2][0] == Fraction(8)
     assert inst.section_kind() == "affine"
     # the data matrix does not satisfy the constraints (allowed; diagnostics only)
-    assert abs(L1.evaluate(inst.data_array())) > 1
+    assert abs(constraint_value(L1, inst.data_array())) > 1
 
 
 def test_random_section_determinism():
@@ -168,7 +173,7 @@ def test_dense_instance_ranges():
     assert np.all((U >= -100) & (U <= 100))
     assert np.all((W >= 1) & (W <= 20))
     unit = st.dense_instance(3, 3, 1, seed=7, weights="unit")
-    assert unit.is_unit_weights()
+    assert np.all(unit.weights.as_array() == 1)
 
 
 def test_dense_instance_projection():
@@ -176,7 +181,7 @@ def test_dense_instance_projection():
                              project_data=True)
     U = inst.data_array()
     for c in inst.constraints:
-        assert abs(c.evaluate(U)) < 1e-8
+        assert abs(constraint_value(c, U)) < 1e-8
 
 
 def test_instance_json_roundtrip_exact():
