@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="weight override: omega|ones|theta (Hankel) or unit")
     p.add_argument("--r", type=int, default=None, help="rank override")
-    p.add_argument("--charts", type=int, default=2)
+    p.add_argument("--charts", type=int, choices=(1, 2), default=2)
 
     p = sub.add_parser("make-instance", help="write a reproducible instance file")
     p.add_argument("--family", required=True,
@@ -550,8 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "eddeg":
             return cmd_eddeg(args)

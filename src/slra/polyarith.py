@@ -2,10 +2,9 @@
 
 A Poly in n variables maps exponent tuples of length n to coefficients; the
 operands of a sum or product must have the same n.  Coefficients keep their
-type: Python ints stay exact at any size (chow._tensor_chern's Chern classes
-of a tensor product overflow 64 bits already for moderate formats; the tests
-build Schur polynomials the same way), floats and complex numbers make the
-critical equations of ``systems``.  A scalar factor scales the terms.  Values
+type: Python ints stay exact at any size (the test suite builds its Schur
+polynomial oracle this way), floats and complex numbers make the critical
+equations of ``systems``.  A scalar factor scales the terms.  Values
 are never mutated after construction.
 """
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from slra import structured
 from slra.cli import catalecticant_count_instances, main, table1_blocks
 
@@ -216,3 +218,29 @@ def test_solve_hankel_weight_override(capsys):
                            capsys)
     assert code == 0
     assert json.loads(out)["n_complex"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["eddeg", "generic", "--m", "4"],  # --n and --r missing
+    ["reproduce", "nosuch"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # 2 is reserved for an expectation mismatch
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and "error" in err
+
+
+def test_solve_takes_one_or_two_charts(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    structured.save_instance(structured.dense_instance(2, 2, 1, seed=8), path)
+    code, out, err = run_cli(["solve", "--input", str(path), "--seed", "2",
+                              "--charts", "3"], capsys)
+    assert code == 1
+    assert out == "" and "--charts" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(["eddeg", "generic", "--help"], capsys)
+    assert code == 0
+    assert "--m" in out
