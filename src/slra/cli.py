@@ -216,6 +216,8 @@ def run_report(command: str, seed: int, solution_set: solver.SolutionSet,
         "n_converged": stats.n_converged,
         "n_diverged": stats.n_diverged,
         "n_filtered": stats.n_filtered,
+        "generic_count": solution_set.generic_count,
+        "n_lost": stats.n_lost,
         "n_complex": solution_set.n_complex,
         "n_real": solution_set.n_real,
         "n_local_min": solution_set.n_local_min,

@@ -14,9 +14,14 @@ inverse of the problem, are carried to the data by one parameter homotopy,
 and monodromy loops through random complex data permute the fibre until d
 points are known (Morgan & Sommese's coefficient-parameter theorem: no
 instance has more nonsingular isolated critical points than d, so stopping
-there hides none).  After STALL_LOOPS loops in a row without a new point,
-the multihomogeneous start runs for that chart; ``PathStats.start_kind``
-then reads ``seeded>mh:...``.
+there hides none).  Dense charts reach weights where that count is only an
+upper bound, or unknown, by the weight route: the fibre filled at random
+generic weights is carried to the instance's weights by one parameter
+homotopy, and the paths that diverge are critical points lost to infinity
+(``PathStats.start_kind`` reads ``weights``, or ``seeded>weights`` after a
+fill that stalled STALL_LOOPS loops in a row without a new point).  The
+multihomogeneous start runs only where the fill at generic weights stalls
+too (``seeded>mh:...``) and for charts without a lift.
 
 Paths are tracked in vectorized batches: the per-path adaptive state lives in
 flat numpy arrays and every predictor/corrector stage is a batched polynomial
@@ -31,14 +36,14 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product as iter_product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import eddegree, systems
-from .structured import Instance, hankel_weights
+from .structured import Instance, WeightMatrix, hankel_weights
 from .polyarith import Poly
 from .systems import PolySystem
 
@@ -477,6 +482,10 @@ class PathStats:
     n_raw_points: int = 0
     start_kind: str = ""
     charts: int = 1
+    # the weight route: the generic count its fibre held (0: not taken) and
+    # its paths that diverged, critical points lost to infinity at the weights
+    generic_count: int = 0
+    n_lost: int = 0
 
     def consistent(self) -> bool:
         return (self.n_converged + self.n_diverged + self.n_singular
@@ -490,6 +499,8 @@ class PathStats:
         self.n_failed += other.n_failed
         self.n_filtered += other.n_filtered
         self.n_raw_points += other.n_raw_points
+        self.generic_count = self.generic_count or other.generic_count
+        self.n_lost += other.n_lost
 
 
 def _batched_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -789,6 +800,11 @@ class SolutionSet:
         return len(self.points)
 
     @property
+    def generic_count(self) -> int | None:
+        """The generic count the weight route deformed from, if it ran."""
+        return self.stats.generic_count or None
+
+    @property
     def n_real(self) -> int:
         return sum(1 for p in self.points if p.is_real)
 
@@ -967,17 +983,14 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
 
     Given the exact number of critical points and a chart that lifts
     critical pairs (``system.lift``), the fibre over the data is filled from
-    seeds (`_fill_fibre`, deduplicated) and the start system runs only if that
-    stalls short of the count; otherwise the start system's paths are tracked
-    (no dedup here).
+    seeds (`_fill_fibre`, deduplicated).  A dense chart whose fill stalls
+    short of the count, or that has no count, takes the weight route
+    (`_deform_weights`) instead.  The start system runs only where the
+    route's own fill at generic weights stalls, and for charts without a
+    lift; its paths are not deduplicated here.
     """
     cfg = cfg or TrackerConfig()
-    rng = np.random.default_rng(
-        (cfg.seed, zlib.crc32(system.chart_tag.encode())))
-    mixed = square_up(system, rng)
-    squared = normalize_equations(mixed)
-    compiled_full = CompiledSystem(system.equations, system.n_vars)
-    compiled_sq = CompiledSystem(squared, system.n_vars)
+    rng, mixed, squared, compiled_full, compiled_sq = _squared(system, cfg)
     local = PathStats()
 
     def accept(pts: np.ndarray, flags: np.ndarray) -> list[tuple]:
@@ -989,7 +1002,13 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
         accepted = _fill_fibre(system, mixed, squared, compiled_sq, count, cfg,
                                accept, local)
         local.start_kind = "seeded"
-    if not seeded or len(accepted) < count:
+    filled = seeded and len(accepted) >= count
+    if not filled and system.lift is not None and system.instance.family == "dense":
+        deformed = _deform_weights(system, compiled_sq, cfg, accept, local)
+        if deformed is not None:
+            accepted = _dedup(accepted + deformed, DEDUP_TOL)
+            local.start_kind = "seeded>weights" if seeded else "weights"
+    if not filled and not local.generic_count:
         start, n_paths, point_gen, desc = choose_start(
             squared, system.label_indices(), system.n_vars, rng)
         hom = Homotopy(compiled_sq, start, cfg.gamma())
@@ -1015,6 +1034,17 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
         stats.merge(local)
         stats.start_kind = stats.start_kind or local.start_kind
     return accepted
+
+
+def _squared(system: PolySystem, cfg: TrackerConfig):
+    """The chart's draws (the same chart at other weights squares up with
+    the same mix), its mixed and normalised squared equations, and the full
+    and squared systems compiled."""
+    rng = np.random.default_rng((cfg.seed, zlib.crc32(system.chart_tag.encode())))
+    mixed = square_up(system, rng)
+    squared = normalize_equations(mixed)
+    return (rng, mixed, squared, CompiledSystem(system.equations, system.n_vars),
+            CompiledSystem(squared, system.n_vars))
 
 
 def _tally(stats: PathStats, status: np.ndarray) -> None:
@@ -1053,8 +1083,8 @@ def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
     return accepted
 
 
-# loops in a row that find nothing new before the start system takes over:
-# a fibre of a few points can need several loops to show a new one
+# loops in a row that find nothing new before the fill gives up: a fibre of
+# a few points can need several loops to show a new one
 STALL_LOOPS = 8
 
 
@@ -1070,8 +1100,9 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     random complex data), whose monodromy permutes the fibre.  Every endpoint
     comes with its conjugate (the data are real) and all are refined,
     filtered and deduplicated.  Stops at ``count`` (a surplus is kept) or
-    after STALL_LOOPS loops in a row that add nothing.  Where the section
-    admits no seeds (s > r n), nothing is tracked.
+    after STALL_LOOPS loops in a row that add nothing; the caller then takes
+    the weight route or the start system.  Where the section admits no seeds
+    (s > r n), nothing is tracked.
     """
     inst = system.instance
     U, Lam = inst.data_array(), inst.weights.as_array()
@@ -1132,8 +1163,63 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     return found
 
 
+def _deform_weights(system: PolySystem, compiled_sq: CompiledSystem,
+                    cfg: TrackerConfig,
+                    accept: Callable[[np.ndarray, np.ndarray], list[tuple]],
+                    stats: PathStats) -> list[tuple] | None:
+    """Critical points at the instance's weights Lam from the fibre at
+    generic weights Lam_g.
+
+    The same chart at Lam_g (random, seeded by ``cfg.seed``, so no minor
+    vanishes) is squared with the same mix and filled to its generic count d;
+    one gamma-trick homotopy then carries the d points to Lam.  The weights
+    enter only the Lagrange rows, linearly, so this is a parameter homotopy
+    and its endpoints include every isolated critical point at Lam (Morgan &
+    Sommese's coefficient-parameter theorem); paths that diverge are points
+    lost to infinity.  Returns the accepted endpoints, or None where no
+    generic count applies or the fill at Lam_g stalls short of it.
+    """
+    inst = system.instance
+    Lam = inst.weights.as_array()
+    rng = np.random.default_rng((cfg.seed, 0x3E16))
+    weights = WeightMatrix.from_rows(
+        (np.mean(Lam) * rng.uniform(0.5, 2.0, size=Lam.shape)).tolist())
+    generic = _reweighted(system, weights)
+    d = _predict(generic.instance)[0]
+    if not d:
+        return None
+    _, mixed, squared, generic_full, generic_sq = _squared(generic, cfg)
+    fibre = _fill_fibre(
+        generic, mixed, squared, generic_sq, d, cfg,
+        lambda pts, flags: _accept(generic, generic_full, pts, flags, None, stats),
+        stats)
+    if len(fibre) < d:
+        return None
+    hom = Homotopy(compiled_sq, generic_sq, cfg.gamma())
+    status, endp = track_batch(hom, np.array([p[0] for p in fibre]))
+    _tally(stats, status)
+    stats.generic_count = d
+    stats.n_lost += int(np.sum(status == DIVERGED))
+    good = (status == CONVERGED) | (status == SINGULAR)
+    return accept(endp[good], status[good] == SINGULAR)
+
+
+def _reweighted(system: PolySystem, weights: WeightMatrix) -> PolySystem:
+    """The same chart at other weights: Lam_v enters only x_v's Lagrange
+    row, as Lam_v (x_v - u_v), so only those rows change."""
+    inst = system.instance.with_weights(weights)
+    shift = (weights.as_array() - system.instance.weights.as_array()).ravel()
+    u = inst.data_array().ravel()
+    equations = list(system.equations)
+    for v, dv in enumerate(shift):
+        k = system.grad_map[v]
+        equations[k] = equations[k] + dv * (Poly.var(system.n_vars, v) - u[v])
+    return replace(system, equations=equations, instance=inst, potential=None)
+
+
 def _predict(instance: Instance) -> tuple[int | None, str]:
-    """Expected count from the exact engine, when a formula applies."""
+    """Expected count from the exact engine, when a formula applies; a
+    basis that starts "conjectured" or "upper bound" is no exact count."""
     m, n, r = instance.m, instance.n, instance.r
     s = instance.codimension()
     section = instance.section_kind()
@@ -1149,6 +1235,11 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
                         "conjectured unit-weight value")
             return None, "no formula for rank-one weights with this section"
         q = eddegree.EDDegreeQuery(m, n, r, s, section, "generic")
+        if s == 0 and instance.weights.has_vanishing_minor():
+            # such weights can lose critical points to infinity (3x3 with one
+            # vanishing minor: 35 of 39); on the random sections tried
+            # (3x3 r=1, s = 1 and 3) they kept the generic count
+            return eddegree.ed_degree(q), "upper bound: generic ED degree"
         return eddegree.ed_degree(q), "generic ED degree"
     if instance.constraints:
         return None, "no formula for a structured family with constraints"
@@ -1219,12 +1310,8 @@ def default_formulation(instance: Instance) -> str:
         return "hankel-rank1"
     if instance.family == "catalecticant":
         return "catalecticant"
-    if instance.family != "dense":
-        square_corank1 = instance.m == instance.n and instance.r == instance.n - 1
-        return "primal" if square_corank1 else "normal"
-    if not instance.constraints and instance.r in (1, min(instance.m, instance.n) - 1):
-        return "dual-rank1"
-    return "normal"
+    square_corank1 = instance.m == instance.n and instance.r == instance.n - 1
+    return "primal" if instance.family != "dense" and square_corank1 else "normal"
 
 
 def solve(instance: Instance, formulation: str = "auto",
@@ -1235,22 +1322,25 @@ def solve(instance: Instance, formulation: str = "auto",
     Tracks the charts of the requested formulation, merges and deduplicates
     endpoints in matrix space, folds chart symmetries, classifies real points,
     and reconciles the count against the exact engine when a formula applies.
-    A seeded chart fills the fibre to the count on its own, so no further
-    chart is tracked once the points found reach it.
+    A seeded chart fills the fibre to the count on its own, and a chart that
+    took the weight route holds every isolated point, so no further chart is
+    tracked after either.
     """
     cfg = config or TrackerConfig()
     if formulation == "auto":
         formulation = default_formulation(instance)
     charts, transfer = _build_charts(instance, formulation, cfg)
     exact, basis = _predict(instance)
-    # a conjectured count is what a solve tests: it must not stop the search
-    count = None if basis.startswith("conjectured") else exact
+    # a conjectured count is what a solve tests and an upper bound may be
+    # too high: neither may stop the search
+    count = None if basis.startswith(("conjectured", "upper bound")) else exact
     stats = PathStats(charts=0)
     warnings: list[str] = []
     raw: list[tuple[np.ndarray, np.ndarray, float, str]] = []
     for system in charts:
-        if (stats.charts and count and system.lift is not None
-                and len(_dedup(raw, DEDUP_TOL)) >= count):
+        if stats.charts and (stats.generic_count or (
+                count and system.lift is not None
+                and len(_dedup(raw, DEDUP_TOL)) >= count)):
             break
         raw.extend(solve_system(system, cfg, transfer, stats, count))
         stats.charts += 1
@@ -1294,22 +1384,35 @@ def _conjugate_mismatch(nonreal: list[CriticalPoint], tol: float) -> int:
 
 
 def reconcile(solution_set: SolutionSet, predicted: int | None = None) -> dict:
-    """Compare the found count with the exact prediction; on mismatch, report
-    path forensics and suggest a rerun with a fresh gamma/seed (a mismatch may
-    certify non-genericity or a tracking failure)."""
+    """Compare the found count with the exact prediction.  After the weight
+    route, report the generic count it deformed from and its paths lost to
+    infinity: a shortfall is then the points these weights lose.  Otherwise
+    a mismatch may certify non-genericity or a tracking failure, and a rerun
+    with a fresh gamma/seed tells them apart."""
     if predicted is None:
         predicted = solution_set.predicted
     found = solution_set.n_complex
     agree = None if predicted is None else (found == predicted)
+    stats = solution_set.stats
     report = {
         "predicted": predicted,
         "found": found,
         "agreement": agree,
-        "paths": vars(solution_set.stats).copy(),
+        "paths": vars(stats).copy(),
         "warnings": list(solution_set.warnings),
     }
+    if solution_set.generic_count:
+        report["generic_count"] = stats.generic_count
+        report["lost_to_infinity"] = stats.n_lost
     if agree is False:
-        report["suggestion"] = ("rerun with a different seed (fresh gamma and "
-                                "start system); a persistent mismatch indicates "
-                                "non-generic data or weights")
+        if stats.generic_count and found + stats.n_lost == stats.generic_count:
+            report["suggestion"] = (
+                f"{stats.n_lost} of the {stats.generic_count} critical points "
+                "at generic weights went to infinity on the way to these "
+                "weights: the shortfall is points lost to infinity under these "
+                "weights, which a rerun does not recover")
+        else:
+            report["suggestion"] = (
+                "rerun with a different seed (fresh gamma and start system); "
+                "a persistent mismatch indicates non-generic data or weights")
     return report

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -286,6 +287,13 @@ class WeightMatrix:
         w = self.rows
         return all(x * w[0][0] == w[i][0] * w[0][j]
                    for i, row in enumerate(w) for j, x in enumerate(row))
+
+    def has_vanishing_minor(self) -> bool:
+        """Exactly w_ij w_kl = w_il w_kj for some rows i < k, columns j < l."""
+        w = self.rows
+        return any(w[i][j] * w[k][l] == w[i][l] * w[k][j]
+                   for i, k in combinations(range(len(w)), 2)
+                   for j, l in combinations(range(len(w[0])), 2))
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,19 @@ def test_solve_hankel_weight_override(capsys):
     assert json.loads(out)["n_complex"] == 4
 
 
+def test_solve_unit_weights_by_the_weight_route(tmp_path, capsys):
+    # unit weights have only a conjectured count (15), which must not stop
+    # the search: the fibre at generic weights (39 points) is deformed to them
+    path = tmp_path / "inst.json"
+    structured.save_instance(structured.dense_instance(3, 3, 2, seed=1, s=1), path)
+    code, out, _ = run_cli(["solve", "--input", str(path), "--weights", "unit",
+                            "--expect", "15", "--seed", "1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["start_kind"] == "weights"
+    assert (report["n_complex"], report["generic_count"], report["n_lost"]) == (15, 39, 24)
+
+
 @pytest.mark.parametrize("argv", [
     ["eddeg", "generic", "--m", "4"],  # --n and --r missing
     ["reproduce", "nosuch"],

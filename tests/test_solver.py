@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import eckart_young
 
+from slra import eddegree
 from slra import solver as sv
 from slra import structured as st
 from slra import systems as sy
@@ -217,13 +218,15 @@ def test_path_outcomes_are_pinned():
     ss = sv.solve(rey, "dual-rank1", sv.TrackerConfig(seed=1, charts=1))
     assert vars(ss.stats) == dict(
         n_paths=73, n_converged=43, n_diverged=0, n_singular=30, n_failed=0,
-        n_filtered=28, n_raw_points=45, start_kind="mh:t|z", charts=1)
+        n_filtered=28, n_raw_points=45, start_kind="mh:t|z", charts=1,
+        generic_count=0, n_lost=0)
     assert (ss.n_complex, ss.n_real, ss.n_local_min) == (39, 19, 7)
     inst = st.dense_instance(2, 3, 1, seed=6, s=2)
     ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
     assert vars(ss.stats) == dict(
         n_paths=14, n_converged=14, n_diverged=0, n_singular=0, n_failed=0,
-        n_filtered=0, n_raw_points=7, start_kind="seeded", charts=1)
+        n_filtered=0, n_raw_points=7, start_kind="seeded", charts=1,
+        generic_count=0, n_lost=0)
     assert ss.n_complex == 7
 
 
@@ -327,9 +330,10 @@ def test_reconcile_report():
     assert report["predicted"] == 6
     assert report["found"] == ss.n_complex
     assert report["agreement"] == (ss.n_complex == 6)
+    assert "generic_count" not in report
     mismatch = sv.reconcile(ss, predicted=7)
     assert mismatch["agreement"] is False
-    assert "suggestion" in mismatch
+    assert "seed" in mismatch["suggestion"]
 
 
 def _without_count(monkeypatch):
@@ -580,6 +584,85 @@ def test_seeded_solve_tracks_no_chart_past_the_count():
     assert two.stats.charts == 1
     assert vars(two.stats) == vars(one.stats)
     assert [p.X.tolist() for p in two.points] == [p.X.tolist() for p in one.points]
+
+
+# -- the weight route ------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_weights_with_a_vanishing_minor_take_the_weight_route(r):
+    # the 2x2 minor of rows 0, 2 and columns 0, 1 vanishes: 4 of the 39
+    # critical points at generic weights go to infinity on the way here
+    inst = st.dense_instance(3, 3, r, seed=3)
+    assert inst.weights.has_vanishing_minor()
+    assert sv._predict(inst) == (39, "upper bound: generic ED degree")
+    assert sv.default_formulation(inst) == "normal"
+    ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=1))
+    assert ss.stats.start_kind == "weights"
+    assert ss.stats.n_paths <= 400
+    assert ss.n_complex == 35 and ss.predicted == 39 and ss.agreement is False
+    assert (ss.generic_count, ss.stats.n_lost) == (39, 4)
+    # the shortfall reads as points lost to infinity, not a tracking failure
+    report = sv.reconcile(ss)
+    assert (report["generic_count"], report["lost_to_infinity"]) == (39, 4)
+    assert "lost to infinity" in report["suggestion"]
+    assert "seed" not in report["suggestion"]
+
+
+@pytest.mark.parametrize("weights, inst, found", [
+    ([[6, 2, 4], [3, 1, 2], [9, 3, 6]], st.dense_instance(3, 3, 2, seed=1, s=1), 15),
+    # solve-section seed 6, pass 1, position 5
+    ([[19, 19, 19], [16, 16, 16]], st.dense_instance(2, 3, 1, seed=965412111, s=2), 7),
+])
+def test_rank_one_weights_with_a_section_take_the_weight_route(weights, inst, found):
+    inst = inst.with_weights(st.WeightMatrix.from_rows(weights))
+    ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=1))
+    assert ss.stats.start_kind == "weights"
+    assert ss.n_complex == found
+    assert ss.generic_count - ss.stats.n_lost == found
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_weight_route_reaches_the_conjectured_unit_values(s):
+    # the conjectured value is what the solve tests, not where it stops
+    inst = st.dense_instance(3, 3, 2, seed=1, s=s, weights="unit")
+    ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=1))
+    assert ss.stats.start_kind == "weights"
+    assert ss.n_complex == ss.predicted == eddegree.conjectured_corank1_unit(3, 3, s)
+
+
+def test_a_stalled_fill_takes_the_weight_route(monkeypatch):
+    # a count the fibre at these weights cannot reach stalls the loops; the
+    # fibre at generic weights, deformed here, has every point
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    cfg = sv.TrackerConfig(seed=6, charts=2)
+    plain = sv.solve(inst, "normal", cfg)
+    predict = sv._predict
+    monkeypatch.setattr(sv, "_predict", lambda instance: (
+        predict(instance)[0] + (instance == inst), "generic ED degree"))
+    ss = sv.solve(inst, "normal", cfg)
+    assert ss.stats.start_kind == "seeded>weights"
+    assert ss.stats.charts == 1 and ss.stats.consistent()
+    assert (ss.generic_count, ss.stats.n_lost, ss.predicted) == (7, 0, 8)
+    assert _same_points(ss, plain)
+
+
+@pytest.mark.parametrize("m, n, r, s", [
+    (2, 2, 1, 0), (3, 3, 1, 0), (3, 3, 2, 0), (2, 4, 1, 0), (3, 4, 2, 0),
+    (3, 3, 2, 1), (2, 3, 1, 2), (4, 4, 2, 0),
+])
+def test_auto_sends_every_dense_instance_to_normal(m, n, r, s):
+    assert sv.default_formulation(st.dense_instance(m, n, r, seed=1, s=s)) == "normal"
+
+
+def test_auto_solves_rey_through_normal():
+    rey = st.load_dataset("rey")
+    auto = sv.solve(rey, "auto", sv.TrackerConfig(seed=1))
+    dual = sv.solve(rey, "dual-rank1", sv.TrackerConfig(seed=1))
+    assert auto.stats.start_kind == "seeded"
+    assert (auto.n_complex, auto.n_real, auto.n_local_min) == (39, 19, 7)
+    assert auto.stats.n_paths < dual.stats.n_paths
+    for p in auto.points:
+        assert min(np.max(np.abs(p.X - q.X)) for q in dual.points) < 1e-6
 
 
 # -- second-order classification ----------------------------------------------
