@@ -516,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find all complex critical points")
     p.add_argument("--input", required=True)
     p.add_argument("--formulation", default="auto",
-                   choices=("auto", "primal", "normal", "dual-rank1",
-                            "hankel-rank1", "catalecticant"))
+                   choices=("auto",) + solver.FORMULATIONS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--expect", type=int, default=None)
     p.add_argument("--weights", default=None,

@@ -491,17 +491,6 @@ class PathStats:
         return (self.n_converged + self.n_diverged + self.n_singular
                 + self.n_failed == self.n_paths)
 
-    def merge(self, other: "PathStats") -> None:
-        self.n_paths += other.n_paths
-        self.n_converged += other.n_converged
-        self.n_diverged += other.n_diverged
-        self.n_singular += other.n_singular
-        self.n_failed += other.n_failed
-        self.n_filtered += other.n_filtered
-        self.n_raw_points += other.n_raw_points
-        self.generic_count = self.generic_count or other.generic_count
-        self.n_lost += other.n_lost
-
 
 def _batched_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve stacked systems; returns (solutions, ok mask).  Singular or
@@ -975,11 +964,12 @@ def classify_point(instance: Instance, point: CriticalPoint) -> str:
 # ---------------------------------------------------------------------------
 
 def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
-                 transfer: Callable[[np.ndarray], np.ndarray] | None = None,
                  stats: PathStats | None = None,
                  count: int | None = None) -> list[tuple]:
     """Track one chart system; returns accepted (coords, matrix, residual,
-    chart, singular_flag) tuples after residual and degenerate filtering.
+    chart, singular_flag) tuples after residual and degenerate filtering,
+    and adds its path counts to ``stats`` (the first chart's start kind
+    stays).
 
     Given the exact number of critical points and a chart that lifts
     critical pairs (``system.lift``), the fibre over the data is filled from
@@ -990,25 +980,27 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
     lift; its paths are not deduplicated here.
     """
     cfg = cfg or TrackerConfig()
+    stats = stats or PathStats()
     rng, mixed, squared, compiled_full, compiled_sq = _squared(system, cfg)
-    local = PathStats()
 
     def accept(pts: np.ndarray, flags: np.ndarray) -> list[tuple]:
-        return _accept(system, compiled_full, pts, flags, transfer, local)
+        return _accept(system, compiled_full, pts, flags, stats)
 
     seeded = bool(count) and system.lift is not None
     accepted: list[tuple] = []
+    kind = ""
     if seeded:
         accepted = _fill_fibre(system, mixed, squared, compiled_sq, count, cfg,
-                               accept, local)
-        local.start_kind = "seeded"
+                               accept, stats)
+        kind = "seeded"
     filled = seeded and len(accepted) >= count
+    deformed = None
     if not filled and system.lift is not None and system.instance.family == "dense":
-        deformed = _deform_weights(system, compiled_sq, cfg, accept, local)
+        deformed = _deform_weights(system, compiled_sq, cfg, accept, stats)
         if deformed is not None:
             accepted = _dedup(accepted + deformed, DEDUP_TOL)
-            local.start_kind = "seeded>weights" if seeded else "weights"
-    if not filled and not local.generic_count:
+            kind = "seeded>weights" if seeded else "weights"
+    if not filled and deformed is None:
         start, n_paths, point_gen, desc = choose_start(
             squared, system.label_indices(), system.n_vars, rng)
         hom = Homotopy(compiled_sq, start, cfg.gamma())
@@ -1018,7 +1010,7 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
         for batch in point_gen(CHUNK):
             seen += batch.shape[0]
             status, endp = track_batch(hom, batch)
-            _tally(local, status)
+            _tally(stats, status)
             good = (status == CONVERGED) | (status == SINGULAR)
             if np.any(good):
                 endpoints.append(endp[good])
@@ -1028,11 +1020,9 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
         if endpoints:
             accepted += accept(np.concatenate(endpoints, axis=0),
                                np.concatenate(singular_flags, axis=0))
-        local.start_kind = "seeded>" + desc if seeded else desc
-    local.n_raw_points = len(accepted)
-    if stats is not None:
-        stats.merge(local)
-        stats.start_kind = stats.start_kind or local.start_kind
+        kind = "seeded>" + desc if seeded else desc
+    stats.n_raw_points += len(accepted)
+    stats.start_kind = stats.start_kind or kind
     return accepted
 
 
@@ -1056,8 +1046,7 @@ def _tally(stats: PathStats, status: np.ndarray) -> None:
 
 
 def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
-            flags: np.ndarray, transfer: Callable[[np.ndarray], np.ndarray] | None,
-            stats: PathStats) -> list[tuple]:
+            flags: np.ndarray, stats: PathStats) -> list[tuple]:
     """Refine endpoints on the full system; keep those that pass the
     residual and degenerate-locus filters."""
     with np.errstate(all="ignore"):
@@ -1076,8 +1065,6 @@ def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
         if system.degenerate is not None and system.degenerate(coords, mat, degen_tol):
             stats.n_filtered += 1
             continue
-        if transfer is not None:
-            mat = transfer(mat)
         accepted.append((coords, mat, float(res[i]), system.chart_tag,
                          bool(flags[i])))
     return accepted
@@ -1102,7 +1089,8 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     filtered and deduplicated.  Stops at ``count`` (a surplus is kept) or
     after STALL_LOOPS loops in a row that add nothing; the caller then takes
     the weight route or the start system.  Where the section admits no seeds
-    (s > r n), nothing is tracked.
+    (s > r n), nothing is tracked, and where no seed reaches the data, no
+    loop is.
     """
     inst = system.instance
     U, Lam = inst.data_array(), inst.weights.as_array()
@@ -1148,7 +1136,7 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     add(endp[good], status[good] == SINGULAR)
 
     stall = 0
-    while len(found) < count and stall < STALL_LOOPS:
+    while found and len(found) < count and stall < STALL_LOOPS:
         P, Q = scale * (rng.normal(size=(2, m, n)) + 1j * rng.normal(size=(2, m, n)))
         x = np.array([p[0] for p in found]).reshape(len(found), system.n_vars)
         status = np.full(len(x), CONVERGED, dtype=np.int8)
@@ -1191,7 +1179,7 @@ def _deform_weights(system: PolySystem, compiled_sq: CompiledSystem,
     _, mixed, squared, generic_full, generic_sq = _squared(generic, cfg)
     fibre = _fill_fibre(
         generic, mixed, squared, generic_sq, d, cfg,
-        lambda pts, flags: _accept(generic, generic_full, pts, flags, None, stats),
+        lambda pts, flags: _accept(generic, generic_full, pts, flags, stats),
         stats)
     if len(fibre) < d:
         return None
@@ -1230,7 +1218,7 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
             if s == 0:  # unweighted Eckart-Young: one point per kept subset
                 return (systems.unit_weight_critical_count(m, n, r),
                         "rank-one weight subset count")
-            if m == n and r == n - 1 and section == "linear":
+            if r == min(m, n) - 1 and section == "linear":
                 return (eddegree.conjectured_corank1_unit(m, n, s),
                         "conjectured unit-weight value")
             return None, "no formula for rank-one weights with this section"
@@ -1252,12 +1240,16 @@ def _predict(instance: Instance) -> tuple[int | None, str]:
     return None, "no closed form for this family"
 
 
-def _build_charts(instance: Instance, formulation: str, cfg: TrackerConfig):
-    """The chart systems to track and the matrix transfer applied afterwards."""
+# every formulation `solve` takes by name (besides "auto")
+FORMULATIONS = ("primal", "normal", "dual-rank1", "hankel-rank1", "catalecticant")
+
+
+def _build_charts(instance: Instance, formulation: str,
+                  cfg: TrackerConfig) -> list[PolySystem]:
+    """The chart systems to track, each built from the instance."""
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"unknown formulation {formulation!r}")
     rng = np.random.default_rng((cfg.seed, 0xC4A7))
-    U = instance.data_array()
-    Lam = instance.weights.as_array()
-    minmn = min(instance.m, instance.n)
 
     def random_unitary(k):
         a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -1273,36 +1265,23 @@ def _build_charts(instance: Instance, formulation: str, cfg: TrackerConfig):
         mix[np.arange(k), perm] = phases
         return mix
 
-    if formulation == "primal":
-        return [systems.primal_corank1(instance)], None
-    if formulation == "hankel-rank1":
-        return [systems.hankel_rank1(instance)], None
-    if formulation == "catalecticant":
-        return [systems.catalecticant_rank2(instance)], None
+    one_chart = {"primal": systems.primal_corank1, "hankel-rank1": systems.hankel_rank1,
+                 "catalecticant": systems.catalecticant_rank2}
+    if formulation in one_chart:
+        return [one_chart[formulation](instance)]
     if formulation == "normal":
         charts = [systems.normal_space(instance)]
         if cfg.charts > 1:
             charts.append(systems.normal_space(
                 instance, left_mix=scaled_permutation(instance.m),
                 right_mix=scaled_permutation(instance.n)))
-        return charts, None
-    if formulation == "dual-rank1":
-        if instance.constraints:
-            raise ValueError("the unconstrained rank-one chart does not "
-                             "support linear sections")
-        if instance.r == 1:
-            builder = lambda mix: systems.rank1_direct(U, Lam, col_mix=mix)
-            transfer = None
-        elif instance.r == minmn - 1:
-            builder = lambda mix: systems.dual_rank1(U, Lam, col_mix=mix)
-            transfer = lambda Y: systems.inverse_transfer(Y, Lam, U)
-        else:
-            raise ValueError("dual-rank1 needs rank 1 or corank 1")
-        charts = [builder(None)]
-        if cfg.charts > 1:
-            charts.append(builder(random_unitary(instance.n)))
-        return charts, transfer
-    raise ValueError(f"unknown formulation {formulation!r}")
+        return charts
+    # dual-rank1: the rank-one chart at rank one, its Hadamard dual at corank one
+    builder = systems.rank1_direct if instance.r == 1 else systems.dual_rank1
+    charts = [builder(instance)]
+    if cfg.charts > 1:
+        charts.append(builder(instance, random_unitary(instance.n)))
+    return charts
 
 
 def default_formulation(instance: Instance) -> str:
@@ -1329,7 +1308,7 @@ def solve(instance: Instance, formulation: str = "auto",
     cfg = config or TrackerConfig()
     if formulation == "auto":
         formulation = default_formulation(instance)
-    charts, transfer = _build_charts(instance, formulation, cfg)
+    charts = _build_charts(instance, formulation, cfg)
     exact, basis = _predict(instance)
     # a conjectured count is what a solve tests and an upper bound may be
     # too high: neither may stop the search
@@ -1342,7 +1321,7 @@ def solve(instance: Instance, formulation: str = "auto",
                 count and system.lift is not None
                 and len(_dedup(raw, DEDUP_TOL)) >= count)):
             break
-        raw.extend(solve_system(system, cfg, transfer, stats, count))
+        raw.extend(solve_system(system, cfg, stats, count))
         stats.charts += 1
     raw = _fold_symmetry(_dedup(raw, DEDUP_TOL), charts[0], DEDUP_TOL, warnings)
 

@@ -17,15 +17,17 @@ Formulations:
 and the parametrised charts, each the gradient of sum_k w_k (phi_k - u_k)^2
 over chart polynomials phi (``_chart_system``):
 
-  dual_rank1        unconstrained rank-one chart for the Hadamard-dual problem
-                    (rank1_direct: the same chart for the direct problem)
+  dual_rank1        rank-one chart of the Hadamard-dual problem, for corank one
+                    (rank1_direct: the same chart for rank one)
   hankel_rank1      the two-variable chart x_k = s t^k of rank-one Hankels
   catalecticant_rank2  six-parameter chart of rank-2 ternary-quartic tensors
 
-The builders that take an Instance read everything from it: the coordinates
-of ``instance.structure()`` (dense is the identity structure, one coordinate
+Every builder takes an Instance first, reads everything from it and checks
+its own rank, family and section rules: the coordinates of
+``instance.structure()`` (dense is the identity structure, one coordinate
 per matrix position), each carrying the summed weight of the positions it
-fills, and the linear space of ``instance.section()``.
+fills, and the linear space of ``instance.section()``.  Every chart map
+returns the instance's matrix X.
 """
 
 from __future__ import annotations
@@ -171,14 +173,14 @@ def _coordinates(instance: Instance) -> tuple[list[float], list[float]]:
             [float(x) for x in st.coords_from_matrix(instance.data_array())])
 
 
-def _chart_system(variables: tuple[str, ...], labels: tuple[str, ...],
-                  chart: list[Poly], weights: list[float], data: list[float],
-                  to_matrix: Callable[[np.ndarray], np.ndarray],
+def _chart_system(instance: Instance, variables: tuple[str, ...],
+                  labels: tuple[str, ...], chart: list[Poly], weights: list[float],
+                  data: list[float], to_matrix: Callable[[np.ndarray], np.ndarray],
                   degenerate: Callable[[np.ndarray, np.ndarray, float], bool],
                   symmetry: Callable[[np.ndarray], np.ndarray] | None = None,
                   chart_tag: str = "default") -> PolySystem:
     """Gradient system of g = sum_k w_k (phi_k - u_k)^2 over the chart
-    polynomials phi, whose values at the parameters to_matrix places."""
+    polynomials phi; to_matrix takes their values to the instance's X."""
     nvars = len(variables)
     g = _squares(chart, weights, data, nvars)
 
@@ -187,9 +189,9 @@ def _chart_system(variables: tuple[str, ...], labels: tuple[str, ...],
 
     return PolySystem(
         variables=variables, equations=[g.diff(i) for i in range(nvars)],
-        var_labels=labels, reconstruct=rec, degenerate=degenerate,
-        symmetry=symmetry, potential=g, grad_map=tuple(range(nvars)),
-        chart_tag=chart_tag,
+        var_labels=labels, reconstruct=rec, instance=instance,
+        degenerate=degenerate, symmetry=symmetry, potential=g,
+        grad_map=tuple(range(nvars)), chart_tag=chart_tag,
     )
 
 
@@ -251,19 +253,20 @@ def primal_corank1(instance: Instance) -> PolySystem:
     )
 
 
-def dual_rank1(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
-    """Gradient system of Q_dual(Y) = sum (y_ij - lambda_ij u_ij)^2 / lambda_ij
-    on the rank-one chart y_ij = t_i v_j, v = col_mix @ (1, z_1, .., z_{n-1}).
+def _rank_one_chart(instance: Instance, U: np.ndarray, Lam: np.ndarray,
+                    col_mix: np.ndarray | None,
+                    to_matrix: Callable[[np.ndarray], np.ndarray]) -> PolySystem:
+    """Gradient system of sum (y_ij - lambda_ij u_ij)^2 / lambda_ij on the
+    rank-one chart y_ij = t_i v_j, v = col_mix @ (1, z_1, .., z_{n-1}).
 
     col_mix defaults to the identity (the plain chart v = (1, z)); a random
     invertible mix gives a second chart that covers rank-one matrices whose
-    first column vanishes.
+    first column vanishes.  The cone point y = 0 is degenerate.
     """
-    U = np.asarray(U, dtype=float)
-    Lam = np.asarray(Lam, dtype=float)
+    if instance.section()[1].size:
+        raise ValueError("the rank-one chart does not support linear sections "
+                         "(constraints or a structured family)")
     m, n = U.shape
-    if np.any(Lam == 0):
-        raise ValueError("all weights must be nonzero")
     nvars = m + n - 1
     variables = tuple(f"t{i+1}" for i in range(m)) + tuple(f"z{j}" for j in range(1, n))
     labels = ("t",) * m + ("z",) * (n - 1)
@@ -275,24 +278,38 @@ def dual_rank1(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
     chart = [Poly.var(nvars, i) * v[j] for i in range(m) for j in range(n)]
     scale = float(np.max(np.abs(Lam * U))) + 1.0
 
-    def degen(coords, Y, tol):
+    def degen(coords, X, tol):
+        Y = np.array([phi.eval(coords) for phi in chart])
         return bool(np.max(np.abs(Y)) < tol * scale)
 
     return _chart_system(
-        variables, labels, chart, (1.0 / Lam).ravel().tolist(),
-        (Lam * U).ravel().tolist(), lambda vec: vec.reshape(m, n), degen,
-        chart_tag="default" if col_mix is None else "mixed")
+        instance, variables, labels, chart, (1.0 / Lam).ravel().tolist(),
+        (Lam * U).ravel().tolist(), lambda vec: to_matrix(vec.reshape(m, n)),
+        degen, chart_tag="default" if col_mix is None else "mixed")
 
 
-def rank1_direct(U, Lam, col_mix: np.ndarray | None = None) -> PolySystem:
-    """Gradient system for min sum lambda (x - u)^2 over rank-one matrices.
-
-    Identical chart machinery as dual_rank1; indeed Q_dual for the data
-    (Lam * U, 1/Lam) is exactly this objective, so we reuse the builder.
+def dual_rank1(instance: Instance, col_mix: np.ndarray | None = None) -> PolySystem:
+    """The corank-one problem through its Hadamard dual: X is critical for
+    the data U and weights Lam exactly when Y = Lam * (U - X) is critical for
+    the rank-one problem with data Lam * U and weights 1 / Lam, so the chart
+    is the rank-one chart in Y and its map returns X = U - Y / Lam.
     """
-    U = np.asarray(U, dtype=float)
-    Lam = np.asarray(Lam, dtype=float)
-    return dual_rank1(Lam * U, 1.0 / Lam, col_mix=col_mix)
+    if instance.r != min(instance.m, instance.n) - 1:
+        raise ValueError("the dual rank-one chart needs corank one")
+    U, Lam = instance.data_array(), instance.weights.as_array()
+    return _rank_one_chart(instance, U, Lam, col_mix,
+                           lambda Y: inverse_transfer(Y, Lam, U))
+
+
+def rank1_direct(instance: Instance, col_mix: np.ndarray | None = None) -> PolySystem:
+    """Gradient system for min sum lambda (x - u)^2 over rank-one matrices:
+    the dual objective for the data (Lam * U, 1 / Lam) is exactly this one,
+    so the chart is the same and its values are X.
+    """
+    if instance.r != 1:
+        raise ValueError("the direct rank-one chart needs rank one")
+    U, Lam = instance.data_array(), instance.weights.as_array()
+    return _rank_one_chart(instance, Lam * U, 1.0 / Lam, col_mix, lambda X: X)
 
 
 def _kernel_columns(mix: np.ndarray, k: int, offset: int, nvars: int) -> list[list[Poly]]:
@@ -506,7 +523,7 @@ def hankel_rank1(instance: Instance) -> PolySystem:
         scale = 1.0 + float(np.max(np.abs(coords)))
         return bool(abs(coords[1]) < tol * scale or abs(coords[0]) < tol * scale)
 
-    return _chart_system(("s", "t"), ("s", "t"), [sv * tp for tp in tpow],
+    return _chart_system(instance, ("s", "t"), ("s", "t"), [sv * tp for tp in tpow],
                          *_coordinates(instance), st.matrix_from_coords, degen)
 
 
@@ -555,6 +572,7 @@ def catalecticant_rank2(instance: Instance) -> PolySystem:
         a, b, c, d, e, f = coords
         return np.array([d, e, f, a, b, c])
 
-    return _chart_system(("a", "b", "c", "d", "e", "f"), ("a", "b", "c", "a", "b", "c"),
+    return _chart_system(instance, ("a", "b", "c", "d", "e", "f"),
+                         ("a", "b", "c", "a", "b", "c"),
                          _catalecticant_chart_polys(), *_coordinates(instance),
                          instance.structure().matrix_from_coords, degen, swap)

@@ -300,7 +300,7 @@ def test_criterion_10_property_suite():
     sc = structured.load_dataset("schultz")
     formulations = {
         "primal": systems.primal_corank1(structured.dense_instance(3, 3, 2, seed=11, s=1)),
-        "dual-rank1": systems.dual_rank1(rey.data_array(), rey.weights.as_array()),
+        "dual-rank1": systems.dual_rank1(rey.with_rank(2)),
         "normal": systems.normal_space(e36),
         "hankel-rank1": systems.hankel_rank1(
             h5.with_weights(structured.hankel_weights(5, "theta"))),

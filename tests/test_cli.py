@@ -161,6 +161,13 @@ def test_solve_report_determinism(tmp_path, capsys):
     assert run() == run()
 
 
+@pytest.mark.parametrize("name", ["rey", "hankel33", "example36"])
+def test_documented_reproductions_pass(name, capsys):
+    code, out, _ = run_cli(["reproduce", name, "--seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "PASS"
+
+
 def test_reproduce_gating(capsys):
     code, _, err = run_cli(["reproduce", "catalecticant-count"], capsys)
     assert code == 1

@@ -191,7 +191,7 @@ def test_polish_extended_matches_the_coefficient_loop():
 
 def test_start_point_count_matches_bound():
     rey = st.load_dataset("rey")
-    system = sy.dual_rank1(rey.data_array(), rey.weights.as_array())
+    system = sy.rank1_direct(rey)
     cfg = sv.TrackerConfig(seed=1, charts=1)
     stats = sv.PathStats()
     sv.solve_system(system, cfg, stats=stats)
@@ -281,7 +281,7 @@ def test_conjugate_closure_and_residual_bounds():
     assert not [w for w in ss.warnings if "conjugate" in w]
     nonreal = [p for p in ss.points if not p.is_real]
     assert len(nonreal) % 2 == 0
-    system = sy.rank1_direct(rey.data_array(), rey.weights.as_array())
+    system = sy.rank1_direct(rey)
     scale = sv.CompiledSystem(system.equations, system.n_vars).coeff_scale
     for p in ss.points:
         assert p.residual < 1e-8 * (1.0 + scale)
@@ -313,14 +313,14 @@ def test_duality_bijection_small():
     inst = st.dense_instance(3, 3, 2, seed=77)
     cfg = sv.TrackerConfig(seed=6, charts=1)
     U, Lam = inst.data_array(), inst.weights.as_array()
-    dual_points = sv._dedup(
-        sv.solve_system(sy.dual_rank1(U, Lam), cfg), sv.DEDUP_TOL)
-    # the transferred X of each dual point is a corank-one critical point: its
-    # weighted residual must be orthogonal to the corank-one tangent space
+    dual_points = sv._dedup(sv.solve_system(sy.dual_rank1(inst), cfg), sv.DEDUP_TOL)
+    # the chart returns corank-one points X whose transfers Y = Lam * (U - X)
+    # have rank one
     assert len(dual_points) == 39
-    for coords, Y, res, chart, flag in dual_points[:5]:
-        X = sy.inverse_transfer(Y, Lam, U)
+    for coords, X, res, chart, flag in dual_points[:5]:
+        Y = sy.dual_transfer(X, Lam, U)
         assert np.linalg.matrix_rank(np.asarray(Y, dtype=complex), tol=1e-6) == 1
+        assert abs(np.linalg.det(X)) < 1e-6 * (1.0 + np.max(np.abs(X))) ** 3
 
 
 def test_reconcile_report():
@@ -373,14 +373,14 @@ def test_rank_one_weights_predict_the_unit_weight_count(weights, data, seed):
 
 def test_rank_one_weights_with_a_section_predict_like_unit_weights():
     # Lam = a b^T rescales to unit weights on a section of the same kind and
-    # codimension: the conjectured corank-one value, or no prediction at all
+    # codimension: the conjectured corank-one value, square or not
     square = st.dense_instance(3, 3, 2, seed=1, s=1).with_weights(
         st.WeightMatrix.from_rows([[6, 2, 4], [3, 1, 2], [9, 3, 6]]))
     assert sv._predict(square) == (15, "conjectured unit-weight value")
     wide = st.dense_instance(2, 3, 1, seed=1, s=2).with_weights(
         st.WeightMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
     assert wide.weights.is_rank_one()
-    assert sv._predict(wide)[0] is None
+    assert sv._predict(wide) == (7, "conjectured unit-weight value")
 
 
 def test_auto_seeds_square_corank_one_sections():
@@ -442,6 +442,9 @@ def test_solve_rejects_sectioned_dual_chart():
     inst = st.dense_instance(3, 3, 2, seed=5, s=1)
     with pytest.raises(ValueError, match="linear sections"):
         sv.solve(inst, "dual-rank1", sv.TrackerConfig(seed=5))
+    # a structure is a section too
+    with pytest.raises(ValueError, match="linear sections"):
+        sv.solve(st.load_dataset("hankel33").with_rank(1), "dual-rank1")
 
 
 def test_cross_formulation_agreement():
@@ -617,7 +620,7 @@ def test_rank_one_weights_with_a_section_take_the_weight_route(weights, inst, fo
     inst = inst.with_weights(st.WeightMatrix.from_rows(weights))
     ss = sv.solve(inst, "auto", sv.TrackerConfig(seed=1))
     assert ss.stats.start_kind == "weights"
-    assert ss.n_complex == found
+    assert ss.n_complex == found == ss.predicted
     assert ss.generic_count - ss.stats.n_lost == found
 
 
@@ -644,6 +647,25 @@ def test_a_stalled_fill_takes_the_weight_route(monkeypatch):
     assert ss.stats.charts == 1 and ss.stats.consistent()
     assert (ss.generic_count, ss.stats.n_lost, ss.predicted) == (7, 0, 8)
     assert _same_points(ss, plain)
+
+
+def test_a_fill_whose_seeds_all_fail_tracks_no_loop(monkeypatch):
+    # no seed path reaches the data: the fill stops at once instead of
+    # tracking loops of zero rows, and the weight route finds every point
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    track, rows = sv.track_batch, []
+
+    def seed_batch_fails(hom, x0):
+        rows.append(len(x0))
+        if len(rows) == 1:
+            return np.full(len(x0), sv.FAILED, dtype=np.int8), np.zeros_like(x0)
+        return track(hom, x0)
+
+    monkeypatch.setattr(sv, "track_batch", seed_batch_fails)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
+    assert 0 not in rows
+    assert ss.stats.start_kind == "seeded>weights" and ss.stats.consistent()
+    assert ss.n_complex == ss.predicted == 7
 
 
 @pytest.mark.parametrize("m, n, r, s", [

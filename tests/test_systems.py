@@ -43,23 +43,44 @@ def test_primal_corank1_rejects_bad_rank():
 
 
 def test_dual_rank1_shape_and_gradient():
-    rey = st.load_dataset("rey")
-    system = sy.dual_rank1(rey.data_array(), rey.weights.as_array())
+    rey = st.load_dataset("rey").with_rank(2)
+    system = sy.dual_rank1(rey)
+    assert system.instance is rey
     assert len(system.variables) == 2 * 3 - 1
     assert all(eq.degree() == 3 for eq in system.equations)
     assert fd_gradient_error(system) < 1e-6
 
 
-def test_dual_rank1_rejects_zero_weights():
-    with pytest.raises(ValueError):
-        sy.dual_rank1(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]]))
+def test_rank_one_charts_check_their_rank():
+    rey = st.load_dataset("rey")
+    with pytest.raises(ValueError, match="corank one"):
+        sy.dual_rank1(rey)
+    with pytest.raises(ValueError, match="rank one"):
+        sy.rank1_direct(rey.with_rank(2))
+
+
+def test_dual_rank1_maps_to_the_data_space():
+    # the chart values are Y = Lam * (U - X); the chart map returns X, and
+    # the cone point Y = 0 (X = U) is degenerate
+    inst = st.dense_instance(2, 3, 1, seed=3)
+    U, Lam = inst.data_array(), inst.weights.as_array()
+    system = sy.dual_rank1(inst)
+    coords = np.array([0.5, -1.5, 2.0, 0.25])
+    Y = np.outer(coords[:2], [1.0, *coords[2:]])
+    assert np.allclose(system.reconstruct(coords), U - Y / Lam)
+    assert system.degenerate(np.zeros(4), U, 1e-8)
+    assert not system.degenerate(coords, U - Y / Lam, 1e-8)
 
 
 def test_rank1_direct_is_dual_of_transferred_data():
     rey = st.load_dataset("rey")
-    U, Lam = rey.data_array(), rey.weights.as_array()
-    direct = sy.rank1_direct(U, Lam)
-    relabeled = sy.dual_rank1(Lam * U, 1.0 / Lam)
+    Lam = rey.weights.as_array()
+    dual = st.Instance(
+        m=3, n=3, r=2, family="dense",
+        U=tuple(map(tuple, (Lam * rey.data_array()).tolist())),
+        weights=st.WeightMatrix.from_rows((1.0 / Lam).tolist()))
+    direct = sy.rank1_direct(rey)
+    relabeled = sy.dual_rank1(dual)
     for a, b in zip(direct.equations, relabeled.equations):
         assert a.terms.keys() == b.terms.keys()
         for e in a.terms:
