@@ -5,7 +5,8 @@ Prints one line per case: its name and a SHA-256 over the exact bits of what
 the builder returned (term order and coefficients of every equation, the
 potential, grad_map, merge block, chart tag, the chart map and degenerate
 predicate at a fixed point, seeds and lifts, section arrays, projected data,
-and the points of a few small seeded solves).  Every builder reads an
+and the points and path counts of a few small solves through every route:
+seeded fill, weight route and start system).  Every builder reads an
 ``Instance``; the rank-one charts get the instance at the rank they take.
 Run it in each checkout and diff the outputs:
 
@@ -115,11 +116,20 @@ def cases():
         for label, inst in (("theta", theta), ("generic", generic)):
             system = systems.catalecticant_rank2(inst)
             yield f"catalecticant-count seed={seed} {label}", _system(system)
-    for label, inst, form in (
-            ("solve dense 2x3 r=1 s=2", structured.dense_instance(2, 3, 1, 6, s=2), "normal"),
-            ("solve dense 3x3 r=2 s=1", structured.dense_instance(3, 3, 2, 4, s=1), "normal"),
-            ("solve hankel33 omega r=1", hankel.with_rank(1), "auto")):
-        ss = solver.solve(inst, form, solver.TrackerConfig(seed=1, charts=1))
+    theta = hankel.with_weights(structured.hankel_weights(5, "theta"))
+    for label, inst, form, charts in (
+            ("solve dense 2x3 r=1 s=2", structured.dense_instance(2, 3, 1, 6, s=2),
+             "normal", 1),
+            ("solve dense 3x3 r=2 s=1", structured.dense_instance(3, 3, 2, 4, s=1),
+             "normal", 1),
+            ("solve hankel33 omega r=1", hankel.with_rank(1), "auto", 1),
+            ("solve rey dual-rank1", structured.load_dataset("rey"), "dual-rank1", 2),
+            ("solve hankel33 theta r=2", theta.with_rank(2), "auto", 1),
+            ("solve dense 2x2 r=1 s=1 primal", structured.dense_instance(2, 2, 1, 7, s=1),
+             "primal", 1),
+            ("solve dense 3x3 r=2 weight route", structured.dense_instance(3, 3, 2, 3),
+             "auto", 1)):
+        ss = solver.solve(inst, form, solver.TrackerConfig(seed=1, charts=charts))
         yield label, [_points(ss), vars(ss.stats)]
 
 

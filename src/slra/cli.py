@@ -287,32 +287,30 @@ def cmd_make_instance(args) -> int:
         return 1
     rng = np.random.default_rng(args.seed)
     try:
+        # the builders reject a weight kind their family does not take
         if args.family == "dense":
             rank = args.r if args.r is not None else min(args.m, args.n) - 1
             inst = structured.dense_instance(
-                args.m, args.n, rank, seed=args.seed,
-                weights="unit" if args.weights == "unit" else "random",
+                args.m, args.n, rank, seed=args.seed, weights=args.weights or "random",
                 s=args.s, section=args.section, project_data=args.project)
         elif args.family == "hankel":
             order = args.order or args.n
             data = rng.integers(-10, 11, size=order).tolist()
-            kind = args.weights if args.weights in ("omega", "ones", "theta") else "omega"
-            inst = structured.hankel_instance(order, data, weights=kind,
+            inst = structured.hankel_instance(order, data, weights=args.weights or "omega",
                                               r=args.r or 1)
         elif args.family == "sylvester":
             a = rng.integers(-10, 11, size=args.m + 1).tolist()
             b = rng.integers(-10, 11, size=args.n + 1).tolist()
-            kind = args.weights if args.weights in ("omega", "ones", "theta") else "omega"
             inst = structured.sylvester_instance(args.m, args.n, args.k, a, b,
-                                                 weights=kind)
-        elif args.family == "catalecticant":
+                                                 weights=args.weights or "omega")
+        else:
+            if args.weights is not None:
+                raise ValueError("catalecticant instances carry fixed tensor "
+                                 "weights; drop --weights")
             vals = rng.integers(-10, 11, size=15)
             data = {name: int(v) for name, v in
                     zip(structured.CATALECTICANT_COORDS, vals)}
             inst = structured.catalecticant_instance(data)
-        else:
-            print(f"unknown family {args.family!r}", file=sys.stderr)
-            return 1
         structured.save_instance(inst, args.out)
     except (ValueError, OSError) as exc:
         print(f"cannot build instance: {exc}", file=sys.stderr)
@@ -534,8 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--order", type=int, default=None, help="Hankel order")
     p.add_argument("--section", choices=("linear", "affine"), default="linear")
-    p.add_argument("--weights", default="random",
-                   help="dense: random|unit; hankel/sylvester: omega|ones|theta")
+    p.add_argument("--weights", default=None,
+                   help="dense: random (default)|unit; hankel/sylvester: "
+                        "omega (default)|ones|theta; none for catalecticant")
     p.add_argument("--project", action="store_true",
                    help="project the data matrix onto the section")
     p.add_argument("--seed", type=int, default=None)

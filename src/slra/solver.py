@@ -21,7 +21,10 @@ homotopy, and the paths that diverge are critical points lost to infinity
 (``PathStats.start_kind`` reads ``weights``, or ``seeded>weights`` after a
 fill that stalled STALL_LOOPS loops in a row without a new point).  The
 multihomogeneous start runs only where the fill at generic weights stalls
-too (``seeded>mh:...``) and for charts without a lift.
+too (``seeded>mh:...``) and for charts without a lift; a start system
+hands back all its start points as one array, tracked CHUNK paths at a
+time.  The start system, the seed batch and the weight route keep their
+endpoints (converged or singular) through one step, ``_endpoints``.
 
 Paths are tracked in vectorized batches: the per-path adaptive state lives in
 flat numpy arrays and every predictor/corrector stage is a batched polynomial
@@ -197,7 +200,7 @@ class PowerStart:
 
 
 def total_degree_start(equations: Sequence[Poly], rng: np.random.Generator):
-    """x_i^{d_i} - c_i with random unit-modulus c_i; lazily enumerated roots."""
+    """x_i^{d_i} - c_i with random unit-modulus c_i, and its roots."""
     nvars = len(equations)
     degrees = [eq.degree() for eq in equations]
     if any(d <= 0 for d in degrees):
@@ -211,18 +214,7 @@ def total_degree_start(equations: Sequence[Poly], rng: np.random.Generator):
     roots = [c[i] ** (1.0 / degrees[i])
              * np.exp(2j * np.pi * np.arange(degrees[i]) / degrees[i])
              for i in range(nvars)]
-
-    def enumerate_points(chunk: int) -> Iterator[np.ndarray]:
-        buf = []
-        for combo in iter_product(*[range(d) for d in degrees]):
-            buf.append([roots[i][k] for i, k in enumerate(combo)])
-            if len(buf) == chunk:
-                yield np.array(buf, dtype=complex)
-                buf = []
-        if buf:
-            yield np.array(buf, dtype=complex)
-
-    return PowerStart(degrees, c), total, enumerate_points
+    return PowerStart(degrees, c), np.array(list(iter_product(*roots)), dtype=complex)
 
 
 def mh_bezout(degree_matrix: Sequence[Sequence[int]], sizes: Sequence[int]) -> int:
@@ -260,8 +252,8 @@ def set_partitions(items: Sequence) -> list[list[list]]:
 
 
 class MultihomogStart:
-    """Products of random affine-linear group factors, with lazily enumerated
-    start points obtained from block linear solves.
+    """Products of random affine-linear group factors, with start points
+    obtained from block linear solves.
 
     Evaluation uses the product structure directly (prefix/suffix products
     for the Jacobian), never the expanded polynomials.  Every equation's
@@ -279,27 +271,21 @@ class MultihomogStart:
         self.count = mh_bezout(self.deg, [len(g) for g in groups])
         ne = len(equations)
         nfactors = max((sum(row) for row in self.deg), default=0)
-        # factors[i][g][j] = (coeff over group vars, const); rows[k*ne + i]
-        # and consts[k, i] hold factor k of equation i as a full-width affine
-        # form, padding factors have a zero row and constant 1
-        self.factors: list[list[list[tuple[np.ndarray, complex]]]] = []
+        # rows[k*ne + i] and consts[k, i] hold factor k of equation i as a
+        # full-width affine form, padding factors have a zero row and
+        # constant 1; equation i's factors in group g start at first[i, g]
         rows = np.zeros((nfactors, ne, nvars), dtype=complex)
         self.consts = np.ones((nfactors, ne, 1), dtype=complex)
+        self.first = np.zeros((ne, len(groups)), dtype=np.intp)
         for i in range(ne):
-            per_group = []
             k = 0
             for g, gvars in enumerate(groups):
-                fs = []
+                self.first[i, g] = k
                 for _ in range(self.deg[i][g]):
-                    coeff = (rng.normal(size=len(gvars))
-                             + 1j * rng.normal(size=len(gvars)))
-                    const = complex(rng.normal() + 1j * rng.normal())
-                    fs.append((coeff, const))
-                    rows[k, i, gvars] = coeff
-                    self.consts[k, i, 0] = const
+                    rows[k, i, gvars] = (rng.normal(size=len(gvars))
+                                         + 1j * rng.normal(size=len(gvars)))
+                    self.consts[k, i, 0] = complex(rng.normal() + 1j * rng.normal())
                     k += 1
-                per_group.append(fs)
-            self.factors.append(per_group)
         self.rows = rows.reshape(nfactors * ne, nvars)
         # equation-major copy for the batched Jacobian product
         self._rows_by_eq = np.ascontiguousarray(rows.transpose(1, 0, 2))
@@ -346,46 +332,31 @@ class MultihomogStart:
 
         yield from rec(0, [c for c in caps], [])
 
-    def enumerate_points(self, chunk: int) -> Iterator[np.ndarray]:
-        """Start points in deterministic order, solved in batched blocks."""
-        pending: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-        def flush():
-            if not pending:
-                return None
-            m = len(pending)
-            x = np.zeros((m, self.nvars), dtype=complex)
-            for g, gvars in enumerate(self.groups):
-                k = len(gvars)
-                a = np.zeros((m, k, k), dtype=complex)
-                b = np.zeros((m, k), dtype=complex)
-                for p, (assign, choices) in enumerate(pending):
-                    row = 0
-                    for i, gi in enumerate(assign):
-                        if gi != g:
-                            continue
-                        coeff, const = self.factors[i][g][choices[i]]
-                        a[p, row] = coeff
-                        b[p, row] = -const
-                        row += 1
-                sol, ok = _batched_solve(a, b)
-                if not ok.all():
-                    raise np.linalg.LinAlgError("degenerate start factors; retry "
-                                                "with a different seed")
-                x[:, gvars] = sol
-            pending.clear()
-            return x
-
-        for assign in self._assignments():
-            choice_ranges = [range(self.deg[i][assign[i]])
-                             for i in range(len(assign))]
-            for choices in iter_product(*choice_ranges):
-                pending.append((assign, choices))
-                if len(pending) == chunk:
-                    yield flush()
-        out = flush()
-        if out is not None:
-            yield out
+    def points(self) -> np.ndarray:
+        """Every start point in deterministic order: each (assignment,
+        choice of factors) pick zeroes the chosen factors, one batched block
+        solve per group."""
+        ne = len(self.deg)
+        picks = [(assign, choices) for assign in self._assignments()
+                 for choices in iter_product(*[range(self.deg[i][g])
+                                               for i, g in enumerate(assign)])]
+        assign = np.array([a for a, _ in picks], dtype=np.intp).reshape(-1, ne)
+        factor = (self.first[np.arange(ne), assign]
+                  + np.array([c for _, c in picks], dtype=np.intp).reshape(-1, ne))
+        x = np.zeros((len(picks), self.nvars), dtype=complex)
+        for g, gvars in enumerate(self.groups):
+            # the equations serving g, pick-major, each pick's in order
+            p, i = np.nonzero(assign == g)
+            k = factor[p, i]
+            a = self.rows[(k * ne + i)[:, None], gvars].reshape(
+                len(picks), len(gvars), len(gvars))
+            b = -self.consts[k, i, 0].reshape(len(picks), len(gvars))
+            sol, ok = _batched_solve(a, b)
+            if not ok.all():
+                raise np.linalg.LinAlgError("degenerate start factors; retry "
+                                            "with a different seed")
+            x[:, gvars] = sol
+        return x
 
 
 def choose_start(squared: Sequence[Poly], label_indices: dict[str, list[int]],
@@ -393,7 +364,7 @@ def choose_start(squared: Sequence[Poly], label_indices: dict[str, list[int]],
     """Pick the best multihomogeneous grouping, or total-degree when no
     grouping needs fewer paths.
 
-    Returns (start equations, path count, point generator, description).
+    Returns (start equations, start points, description).
     """
     degrees = [eq.degree() for eq in squared]
     td_count = math.prod(degrees)
@@ -419,9 +390,8 @@ def choose_start(squared: Sequence[Poly], label_indices: dict[str, list[int]],
             raise ValueError(f"multihomogeneous start needs {start.count} paths "
                              f"(> max_paths {MAX_PATHS})")
         desc = "mh:" + "|".join(",".join(b) for b in best[2])
-        return start, start.count, start.enumerate_points, desc
-    start, count, gen = total_degree_start(squared, rng)
-    return start, count, gen, "total-degree"
+        return start, start.points(), desc
+    return (*total_degree_start(squared, rng), "total-degree")
 
 
 def normalize_equations(equations: Sequence[Poly]) -> list[Poly]:
@@ -1001,25 +971,12 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
             accepted = _dedup(accepted + deformed, DEDUP_TOL)
             kind = "seeded>weights" if seeded else "weights"
     if not filled and deformed is None:
-        start, n_paths, point_gen, desc = choose_start(
+        start, points, desc = choose_start(
             squared, system.label_indices(), system.n_vars, rng)
         hom = Homotopy(compiled_sq, start, cfg.gamma())
-        endpoints: list[np.ndarray] = []
-        singular_flags: list[np.ndarray] = []
-        seen = 0
-        for batch in point_gen(CHUNK):
-            seen += batch.shape[0]
-            status, endp = track_batch(hom, batch)
-            _tally(stats, status)
-            good = (status == CONVERGED) | (status == SINGULAR)
-            if np.any(good):
-                endpoints.append(endp[good])
-                singular_flags.append(status[good] == SINGULAR)
-        if seen != n_paths:
-            raise AssertionError(f"start enumeration produced {seen} of {n_paths} points")
-        if endpoints:
-            accepted += accept(np.concatenate(endpoints, axis=0),
-                               np.concatenate(singular_flags, axis=0))
+        pts, flags = zip(*[_endpoints(hom, points[i:i + CHUNK], stats)
+                           for i in range(0, len(points), CHUNK)])
+        accepted += accept(np.concatenate(pts), np.concatenate(flags))
         kind = "seeded>" + desc if seeded else desc
     stats.n_raw_points += len(accepted)
     stats.start_kind = stats.start_kind or kind
@@ -1035,6 +992,15 @@ def _squared(system: PolySystem, cfg: TrackerConfig):
     squared = normalize_equations(mixed)
     return (rng, mixed, squared, CompiledSystem(system.equations, system.n_vars),
             CompiledSystem(squared, system.n_vars))
+
+
+def _endpoints(hom: Homotopy, x: np.ndarray, stats: PathStats):
+    """Track the paths from x, tally their outcomes in ``stats``, and return
+    the endpoints kept (converged or singular) with their singular flags."""
+    status, endp = track_batch(hom, x)
+    _tally(stats, status)
+    good = (status == CONVERGED) | (status == SINGULAR)
+    return endp[good], status[good] == SINGULAR
 
 
 def _tally(stats: PathStats, status: np.ndarray) -> None:
@@ -1107,13 +1073,12 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     coef = np.array([squared[k].terms[tuple(int(i == v) for i in range(system.n_vars))]
                      for v, k in enumerate(rows)])
 
-    def segment(x, v0, v1):
+    def segment(x, v0, v1) -> Homotopy:
         def offset(v):
             out = np.zeros(v.shape[:-2] + (len(squared),), dtype=complex)
             out[..., rows] = coef * (U - v).reshape(v.shape[:-2] + (m * n,))
             return np.broadcast_to(out, (len(x), len(squared)))
-        hom = Homotopy(compiled_sq, None, offsets=(offset(v0), offset(v1)))
-        return track_batch(hom, x)
+        return Homotopy(compiled_sq, None, offsets=(offset(v0), offset(v1)))
 
     found: list[tuple] = []
 
@@ -1130,10 +1095,8 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     X, N = systems.normal_space_seeds(inst, 2 * count, rng)
     if not len(X):
         return found
-    status, endp = segment(system.lift(X, N), X + N / Lam, U)
-    _tally(stats, status)
-    good = (status == CONVERGED) | (status == SINGULAR)
-    add(endp[good], status[good] == SINGULAR)
+    x = system.lift(X, N)
+    add(*_endpoints(segment(x, X + N / Lam, U), x, stats))
 
     stall = 0
     while found and len(found) < count and stall < STALL_LOOPS:
@@ -1142,7 +1105,7 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
         status = np.full(len(x), CONVERGED, dtype=np.int8)
         alive = np.arange(len(x))
         for leg, (v0, v1) in enumerate(((U, P), (P, Q), (Q, U))):
-            leg_status, x = segment(x, v0, v1)
+            leg_status, x = track_batch(segment(x, v0, v1), x)
             status[alive] = leg_status
             keep = (leg_status == CONVERGED) | ((leg_status == SINGULAR) & (leg == 2))
             alive, x = alive[keep], x[keep]
@@ -1184,12 +1147,11 @@ def _deform_weights(system: PolySystem, compiled_sq: CompiledSystem,
     if len(fibre) < d:
         return None
     hom = Homotopy(compiled_sq, generic_sq, cfg.gamma())
-    status, endp = track_batch(hom, np.array([p[0] for p in fibre]))
-    _tally(stats, status)
+    diverged = stats.n_diverged
+    pts, flags = _endpoints(hom, np.array([p[0] for p in fibre]), stats)
     stats.generic_count = d
-    stats.n_lost += int(np.sum(status == DIVERGED))
-    good = (status == CONVERGED) | (status == SINGULAR)
-    return accept(endp[good], status[good] == SINGULAR)
+    stats.n_lost += stats.n_diverged - diverged
+    return accept(pts, flags)
 
 
 def _reweighted(system: PolySystem, weights: WeightMatrix) -> PolySystem:

@@ -77,6 +77,26 @@ def test_table_csv_output(capsys):
     lines = out.strip().splitlines()
     assert lines[1].startswith("3,4")
     assert lines[-1] == "9,22,151,334,121"
+    # a range and a list name the same columns
+    for n in ("2..3", "2,3"):
+        code, out, _ = run_cli(["eddeg", "table1", "--n", n, "--csv"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [line for line in lines if line.startswith("#")] == [
+            "# linear_unit (conjecture-based)", "# affine_unit (reference data)",
+            "# linear_generic (exact)", "# affine_generic (exact)"]
+        assert lines[1] == "s,n=2,n=3"
+        generic = lines.index("# linear_generic (exact)")
+        assert lines[generic + 2] == "0,6,39"
+    code, out, _ = run_cli(["eddeg", "table4-generic", "--csv"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "(m;n)\\k,1,2,3,4" and len(lines) == 10
+    for line in lines[1:]:
+        pair, *values = line.split(",")
+        m, n = (int(v) for v in pair.strip("()").split(";"))
+        # k = m: the last column is 4(m + n) - 2
+        assert len(values) == m and int(values[-1]) == 4 * (m + n) - 2
 
 
 def test_make_instance_deterministic(tmp_path, capsys):
@@ -113,6 +133,19 @@ def test_make_instance_hankel_weights(tmp_path, capsys):
     assert payload["family"] == "hankel"
     assert payload["params"]["hankel_order"] == 6
     assert payload["weights"][0] == [1, "1/2", "1/3", "1/3"]
+
+
+@pytest.mark.parametrize("family, weights", [
+    ("hankel", "unit"), ("hankel", "thetaa"), ("sylvester", "random"),
+    ("dense", "omega"), ("catalecticant", "omega"),
+])
+def test_make_instance_rejects_weights_the_family_does_not_take(
+        family, weights, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, err = run_cli(["make-instance", "--family", family, "--weights", weights,
+                            "--seed", "3", "--out", str(out)], capsys)
+    assert code == 1
+    assert "cannot build instance" in err and not out.exists()
 
 
 def test_solve_bad_input_exit_code(tmp_path, capsys):

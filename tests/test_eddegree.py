@@ -142,6 +142,13 @@ def test_conjectured_unit_column(n):
     assert got == UNIT_LINEAR_COLUMNS[n]
 
 
+def test_unit_weight_query_gives_the_conjectured_value():
+    # the query path the solver's prediction takes for unit weights
+    for s, value in enumerate(UNIT_LINEAR_COLUMNS[3]):
+        q = EDDegreeQuery(3, 3, 2, s, "linear", "unit")
+        assert ed_degree(q) == conjectured_corank1_unit(3, 3, s) == value
+
+
 def test_sylvester_values():
     assert sylvester_ed_generic(2, 2, 2) == 14
     assert sylvester_ed_generic(3, 5, 1) == 284

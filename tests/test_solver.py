@@ -100,11 +100,11 @@ def test_multihomog_start_matches_factor_products(batch):
     x = rng.normal(size=(batch, 4)) + 1j * rng.normal(size=(batch, 4))
 
     def expanded(xs):
-        out = np.ones((xs.shape[0], len(eqs)), dtype=complex)
-        for i, per_group in enumerate(start.factors):
-            for g, factors in enumerate(per_group):
-                for coeff, const in factors:
-                    out[:, i] *= xs[:, groups[g]] @ coeff + const
+        # factor k of equation i is rows[k*ne + i] . x + consts[k, i]
+        ne = len(eqs)
+        out = np.ones((xs.shape[0], ne), dtype=complex)
+        for kn, row in enumerate(start.rows):
+            out[:, kn % ne] *= xs @ row + start.consts[kn // ne, kn % ne, 0]
         return out
 
     vals, jac = start.eval_and_jac(x)
@@ -198,7 +198,67 @@ def test_start_point_count_matches_bound():
     assert stats.n_paths == 73          # the multihomogeneous bound, exactly
     squared = sv.square_up(system, np.random.default_rng(1))
     # the Bezout bound, exactly
-    assert sv.total_degree_start(squared, np.random.default_rng(1))[1] == 3 ** 5
+    assert len(sv.total_degree_start(squared, np.random.default_rng(1))[1]) == 3 ** 5
+
+
+def _pairwise_distinct(points: np.ndarray, tol: float) -> bool:
+    # two points within tol (max norm) project on w within tol * |w|_1, so
+    # only neighbours in projection order need the full comparison
+    w = np.random.default_rng(0).normal(size=points.shape[1])
+    order = np.argsort((points @ w).real)
+    proj = (points[order] @ w).real
+    reach = np.searchsorted(proj, proj + tol * np.abs(w).sum(), side="right")
+    return all(np.max(np.abs(points[order[i + 1:reach[i]]] - points[order[i]]),
+                      axis=1).min(initial=np.inf) >= tol
+               for i in range(len(order)))
+
+
+def _start_example():
+    eqs = [_monomial(4, e) for e in
+           ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (2, 0, 0, 2))]
+    start = sv.MultihomogStart(eqs, [[0, 1], [2, 3]], 4, np.random.default_rng(3))
+    return start, start.points(), start.count
+
+
+def _chosen_start(system):
+    rng = np.random.default_rng(1)
+    squared = sv.normalize_equations(sv.square_up(system, rng))
+    start, points, _ = sv.choose_start(squared, system.label_indices(),
+                                       system.n_vars, rng)
+    return start, points, start.count
+
+
+def _total_degree_rey():
+    squared = sv.square_up(sy.rank1_direct(st.load_dataset("rey")),
+                           np.random.default_rng(1))
+    start, points = sv.total_degree_start(squared, np.random.default_rng(1))
+    return start, points, int(np.prod([eq.degree() for eq in squared]))
+
+
+@pytest.mark.parametrize("make, count", [
+    (_start_example, 8),
+    (lambda: _chosen_start(sy.rank1_direct(st.load_dataset("rey"))), 73),
+    (lambda: _chosen_start(sy.normal_space(st.dense_instance(3, 4, 1, 2, s=3))), 8008),
+    (_total_degree_rey, 3 ** 5),
+], ids=["multihomog", "rank1_direct rey", "normal 3x4 r=1 s=3", "total-degree rey"])
+def test_start_points_solve_their_start_system(make, count):
+    start, points, bound = make()
+    assert len(points) == bound == count
+    vals, _ = start.eval_and_jac(points)
+    assert np.max(np.abs(vals)) < 1e-10
+    assert _pairwise_distinct(points, 1e-8)
+
+
+def test_batched_solve_resolves_a_bad_stack_item_by_item():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    b = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    a[1, 2] = 0.0          # singular: the stacked solve raises
+    a[3, 0, 0] = np.nan    # non-finite: its solution is not finite
+    sol, ok = sv._batched_solve(a, b)
+    assert ok.tolist() == [True, False, True, False, True]
+    for i in (0, 2, 4):
+        assert np.array_equal(sol[i], np.linalg.solve(a[i], b[i]))
 
 
 def test_overdetermined_system_needs_a_merge_block():
