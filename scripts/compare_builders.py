@@ -3,7 +3,7 @@ bitwise.
 
 Prints one line per case: its name and a SHA-256 over the exact bits of what
 the builder returned (term order and coefficients of every equation, the
-potential, grad_map, merge block, chart tag, the chart map and degenerate
+potential, grad_map, merge block, the chart map and degenerate
 predicate at a fixed point, seeds and lifts, section arrays, projected data,
 and the points and path counts of a few small solves through every route:
 seeded fill, weight route and start system).  Every builder reads an
@@ -41,7 +41,7 @@ def _system(system: systems.PolySystem) -> list:
     mat = system.reconstruct(pt)
     return [system.variables, system.var_labels, system.equations,
             system.potential, system.grad_map, system.merge_block,
-            system.chart_tag, system.symmetry is not None, np.asarray(mat),
+            system.symmetry is not None, np.asarray(mat),
             [system.degenerate(pt, mat, tol) if system.degenerate else None
              for tol in (1e-8, 1e-1)]]
 
@@ -82,13 +82,16 @@ def cases():
                 yield name + " projected", [projected.data_array(), projected.section()]
                 if m == n and r == n - 1:
                     yield name + " primal", _system(systems.primal_corank1(inst))
-                charts = solver._build_charts(
-                    inst, "normal", solver.TrackerConfig(seed=seed, charts=2))
                 X, N = systems.normal_space_seeds(inst, 4, np.random.default_rng(seed))
                 yield name + " seeds", [X, N]
-                for system in charts:
-                    yield f"{name} normal {system.chart_tag}", _system(system)
-                    yield f"{name} normal {system.chart_tag} lift", _lift(system, X, N)
+                # the mixed chart every normal solve tracks, and the plain
+                # one its start-system fallback runs in
+                for label, system in (
+                        ("mixed", solver._build_charts(
+                            inst, "normal", solver.TrackerConfig(seed=seed))),
+                        ("plain", systems.normal_space(inst))):
+                    yield f"{name} normal {label}", _system(system)
+                    yield f"{name} normal {label} lift", _lift(system, X, N)
     hankel = structured.load_dataset("hankel33")
     for kind in ("omega", "ones", "theta"):
         inst = hankel.with_weights(structured.hankel_weights(5, kind))
@@ -109,27 +112,27 @@ def cases():
             yield f"sylvester ({m},{n},{k}) primal", _system(systems.primal_corank1(inst))
     schultz = structured.load_dataset("schultz")
     yield "schultz section", list(schultz.section())
-    charts = solver._build_charts(schultz, "catalecticant", solver.TrackerConfig())
-    yield "schultz catalecticant", _system(charts[0])
+    yield "schultz catalecticant", _system(
+        solver._build_charts(schultz, "catalecticant", solver.TrackerConfig()))
     for seed in (1, 2, 3):
         theta, generic, _ = cli.catalecticant_count_instances(seed)
         for label, inst in (("theta", theta), ("generic", generic)):
             system = systems.catalecticant_rank2(inst)
             yield f"catalecticant-count seed={seed} {label}", _system(system)
     theta = hankel.with_weights(structured.hankel_weights(5, "theta"))
-    for label, inst, form, charts in (
+    for label, inst, form in (
             ("solve dense 2x3 r=1 s=2", structured.dense_instance(2, 3, 1, 6, s=2),
-             "normal", 1),
+             "normal"),
             ("solve dense 3x3 r=2 s=1", structured.dense_instance(3, 3, 2, 4, s=1),
-             "normal", 1),
-            ("solve hankel33 omega r=1", hankel.with_rank(1), "auto", 1),
-            ("solve rey dual-rank1", structured.load_dataset("rey"), "dual-rank1", 2),
-            ("solve hankel33 theta r=2", theta.with_rank(2), "auto", 1),
+             "normal"),
+            ("solve hankel33 omega r=1", hankel.with_rank(1), "auto"),
+            ("solve rey dual-rank1", structured.load_dataset("rey"), "dual-rank1"),
+            ("solve hankel33 theta r=2", theta.with_rank(2), "auto"),
             ("solve dense 2x2 r=1 s=1 primal", structured.dense_instance(2, 2, 1, 7, s=1),
-             "primal", 1),
+             "primal"),
             ("solve dense 3x3 r=2 weight route", structured.dense_instance(3, 3, 2, 3),
-             "auto", 1)):
-        ss = solver.solve(inst, form, solver.TrackerConfig(seed=1, charts=charts))
+             "auto")):
+        ss = solver.solve(inst, form, solver.TrackerConfig(seed=1))
         yield label, [_points(ss), vars(ss.stats)]
 
 

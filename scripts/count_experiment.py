@@ -15,7 +15,7 @@ def run(n: int, seeds: range, section: int) -> None:
     hits = 0
     for seed in seeds:
         inst = structured.dense_instance(n, n, n - 1, seed=seed, s=section)
-        ss = solver.solve(inst, "auto", solver.TrackerConfig(seed=seed, charts=1))
+        ss = solver.solve(inst, "auto", solver.TrackerConfig(seed=seed))
         report = solver.reconcile(ss)
         status = "ok" if report["agreement"] else "MISMATCH"
         print(f"seed {seed:>4}: found {report['found']:>4} "

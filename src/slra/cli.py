@@ -210,7 +210,7 @@ def run_report(command: str, seed: int, solution_set: solver.SolutionSet,
             "dedup_tol": solver.DEDUP_TOL, "real_tol": solver.REAL_TOL,
             "min_step": solver.MIN_STEP, "max_step": solver.MAX_STEP,
             "max_steps": solver.MAX_STEPS, "start_kind": stats.start_kind,
-            "seed": seed, "charts": stats.charts,
+            "seed": seed,
         },
         "n_paths": stats.n_paths,
         "n_converged": stats.n_converged,
@@ -257,7 +257,7 @@ def cmd_solve(args) -> int:
     if args.r is not None:
         instance = instance.with_rank(args.r)
     seed = _resolve_seed(args)
-    cfg = solver.TrackerConfig(seed=seed, charts=args.charts)
+    cfg = solver.TrackerConfig(seed=seed)
     t0 = time.perf_counter()
     try:
         solution_set = solver.solve(instance, args.formulation, cfg,
@@ -395,7 +395,7 @@ def catalecticant_count_instances(seed: int):
 def reproduce_catalecticant_count(seed: int, results: list) -> bool:
     theta, generic, _ = catalecticant_count_instances(seed)
     sys_theta = systems.catalecticant_rank2(theta)
-    cfg = solver.TrackerConfig(seed=seed, charts=1)
+    cfg = solver.TrackerConfig(seed=seed)
     stats = solver.PathStats()
     raw = solver.solve_system(sys_theta, cfg, stats=stats)
     ded = solver._dedup(raw, solver.DEDUP_TOL)
@@ -520,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="weight override: omega|ones|theta (Hankel) or unit")
     p.add_argument("--r", type=int, default=None, help="rank override")
-    p.add_argument("--charts", type=int, choices=(1, 2), default=2)
 
     p = sub.add_parser("make-instance", help="write a reproducible instance file")
     p.add_argument("--family", required=True,

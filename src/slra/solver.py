@@ -8,23 +8,28 @@ count reconciliation against the exact ED-degree engine.  Every real point
 is classified by one projected Lagrangian Hessian in a rank-factor chart of
 the rank-r matrices, whatever the family or formulation.
 
-Normal-space charts skip the start system when the exact engine gives the
-count d: 2d seeds, exact critical points of their own data from the linear
-inverse of the problem, are carried to the data by one parameter homotopy,
-and monodromy loops through random complex data permute the fibre until d
-points are known (Morgan & Sommese's coefficient-parameter theorem: no
-instance has more nonsingular isolated critical points than d, so stopping
-there hides none).  Dense charts reach weights where that count is only an
-upper bound, or unknown, by the weight route: the fibre filled at random
-generic weights is carried to the instance's weights by one parameter
-homotopy, and the paths that diverge are critical points lost to infinity
+Every solve tracks one chart.  The normal-space chart is mixed by random
+unitary matrices, so it holds every critical point, also those whose
+kernels a coordinate chart misses (diagonal data put them there).  It
+skips the start system when the exact engine gives the count d: 2d seeds,
+exact critical points of their own data from the linear inverse of the
+problem, are carried to the data by one parameter homotopy, and monodromy
+loops through random complex data permute the fibre until d points are
+known (Morgan & Sommese's coefficient-parameter theorem: no instance has
+more nonsingular isolated critical points than d, so stopping there hides
+none).  Dense charts reach weights where that count is only an upper bound,
+or unknown, by the weight route: the fibre filled at random generic weights
+is carried to the instance's weights by one parameter homotopy, and the
+paths that diverge are critical points lost to infinity
 (``PathStats.start_kind`` reads ``weights``, or ``seeded>weights`` after a
 fill that stalled STALL_LOOPS loops in a row without a new point).  The
 multihomogeneous start runs only where the fill at generic weights stalls
-too (``seeded>mh:...``) and for charts without a lift; a start system
-hands back all its start points as one array, tracked CHUNK paths at a
-time.  The start system, the seed batch and the weight route keep their
-endpoints (converged or singular) through one step, ``_endpoints``.
+too (``seeded>mh:...``), then in the plain normal-space chart, whose
+sparser equations need fewer start paths, and for charts without a lift; a
+start system hands back all its start points as one array, tracked CHUNK
+paths at a time.  The start system, the seed batch and the weight route
+keep their endpoints (converged or singular) through one step,
+``_endpoints``.
 
 Paths are tracked in vectorized batches: the per-path adaptive state lives in
 flat numpy arrays and every predictor/corrector stage is a batched polynomial
@@ -32,7 +37,7 @@ evaluation plus a batched linear solve; results are canonically sorted at
 the end.
 
 Tolerances and step limits are module constants (TRACK_TOL ... DIV_THRESHOLD
-below); a ``TrackerConfig`` carries only the seed and the number of charts.
+below); a ``TrackerConfig`` carries only the seed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product as iter_product
 from typing import Callable, Iterator, Sequence
 
@@ -64,11 +70,16 @@ MAX_STEPS = 10_000
 CHUNK = 6000             # start points per tracked batch
 MAX_PATHS = 500_000
 DIV_THRESHOLD = 1e8      # coordinate norm of a diverging path
+DRAW_KEY = zlib.crc32(b"default")  # rng key of every chart's square-up and fill
 
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """The settings of one solver run; the seed fixes every random choice."""
+    """The settings of one solver run; the seed fixes every random choice.
+
+    ``charts`` is read by nothing, since every solve tracks one chart; it
+    stays because the benchmark's workloads still pass it.
+    """
 
     seed: int = 0
     charts: int = 2
@@ -451,7 +462,6 @@ class PathStats:
     n_filtered: int = 0
     n_raw_points: int = 0
     start_kind: str = ""
-    charts: int = 1
     # the weight route: the generic count its fibre held (0: not taken) and
     # its paths that diverged, critical points lost to infinity at the weights
     generic_count: int = 0
@@ -737,7 +747,6 @@ class CriticalPoint:
     classification: str | None = None   # local_min | saddle_or_max | ambiguous
     objective: float | None = None
     multiplicity_flag: bool = False
-    chart: str = "default"
 
     def sort_key(self):
         flat = np.asarray(self.X).ravel()
@@ -794,7 +803,7 @@ def _dedup(points: list[tuple], tol: float) -> list[tuple]:
     if not points:
         return []
     order = sorted(range(len(points)),
-                   key=lambda i: (points[i][4], points[i][2], i))
+                   key=lambda i: (points[i][3], points[i][2], i))
     mats = np.array([points[i][1] for i in order])
     kept: list[int] = []
     for i in range(len(order)):
@@ -937,9 +946,8 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
                  stats: PathStats | None = None,
                  count: int | None = None) -> list[tuple]:
     """Track one chart system; returns accepted (coords, matrix, residual,
-    chart, singular_flag) tuples after residual and degenerate filtering,
-    and adds its path counts to ``stats`` (the first chart's start kind
-    stays).
+    singular_flag) tuples after residual and degenerate filtering, and adds
+    its path counts and start kind to ``stats``.
 
     Given the exact number of critical points and a chart that lifts
     critical pairs (``system.lift``), the fibre over the data is filled from
@@ -947,15 +955,15 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
     short of the count, or that has no count, takes the weight route
     (`_deform_weights`) instead.  The start system runs only where the
     route's own fill at generic weights stalls, and for charts without a
-    lift; its paths are not deduplicated here.
+    lift; its paths are not deduplicated here.  A chart with a lift starts
+    in the plain normal-space chart of its instance: a mixed chart's denser
+    equations raise the multihomogeneous count (1,966 -> 6,006 paths on
+    3x3 r=2).
     """
     cfg = cfg or TrackerConfig()
     stats = stats or PathStats()
     rng, mixed, squared, compiled_full, compiled_sq = _squared(system, cfg)
-
-    def accept(pts: np.ndarray, flags: np.ndarray) -> list[tuple]:
-        return _accept(system, compiled_full, pts, flags, stats)
-
+    accept = partial(_accept, system, compiled_full, stats=stats)
     seeded = bool(count) and system.lift is not None
     accepted: list[tuple] = []
     kind = ""
@@ -971,15 +979,19 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
             accepted = _dedup(accepted + deformed, DEDUP_TOL)
             kind = "seeded>weights" if seeded else "weights"
     if not filled and deformed is None:
+        if system.lift is not None:
+            system = systems.normal_space(system.instance)
+            rng, _, squared, compiled_full, compiled_sq = _squared(system, cfg)
         start, points, desc = choose_start(
             squared, system.label_indices(), system.n_vars, rng)
         hom = Homotopy(compiled_sq, start, cfg.gamma())
         pts, flags = zip(*[_endpoints(hom, points[i:i + CHUNK], stats)
                            for i in range(0, len(points), CHUNK)])
-        accepted += accept(np.concatenate(pts), np.concatenate(flags))
+        accepted += _accept(system, compiled_full, np.concatenate(pts),
+                            np.concatenate(flags), stats)
         kind = "seeded>" + desc if seeded else desc
     stats.n_raw_points += len(accepted)
-    stats.start_kind = stats.start_kind or kind
+    stats.start_kind = kind
     return accepted
 
 
@@ -987,7 +999,7 @@ def _squared(system: PolySystem, cfg: TrackerConfig):
     """The chart's draws (the same chart at other weights squares up with
     the same mix), its mixed and normalised squared equations, and the full
     and squared systems compiled."""
-    rng = np.random.default_rng((cfg.seed, zlib.crc32(system.chart_tag.encode())))
+    rng = np.random.default_rng((cfg.seed, DRAW_KEY))
     mixed = square_up(system, rng)
     squared = normalize_equations(mixed)
     return (rng, mixed, squared, CompiledSystem(system.equations, system.n_vars),
@@ -1031,8 +1043,7 @@ def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
         if system.degenerate is not None and system.degenerate(coords, mat, degen_tol):
             stats.n_filtered += 1
             continue
-        accepted.append((coords, mat, float(res[i]), system.chart_tag,
-                         bool(flags[i])))
+        accepted.append((coords, mat, float(res[i]), bool(flags[i])))
     return accepted
 
 
@@ -1061,8 +1072,7 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     inst = system.instance
     U, Lam = inst.data_array(), inst.weights.as_array()
     m, n = U.shape
-    rng = np.random.default_rng(
-        (cfg.seed, zlib.crc32(system.chart_tag.encode()), 1))
+    rng = np.random.default_rng((cfg.seed, DRAW_KEY, 1))
     scale = float(np.mean(np.abs(U))) or 1.0
     # the data enter only the Lagrange rows, which square_up passes through
     # unmixed: moving U to V adds c_v (U_v - V_v) to x_v's row (grad_map),
@@ -1207,8 +1217,15 @@ FORMULATIONS = ("primal", "normal", "dual-rank1", "hankel-rank1", "catalecticant
 
 
 def _build_charts(instance: Instance, formulation: str,
-                  cfg: TrackerConfig) -> list[PolySystem]:
-    """The chart systems to track, each built from the instance."""
+                  cfg: TrackerConfig) -> PolySystem:
+    """The one chart system to track, built from the instance.
+
+    The ``normal`` kernel chart and the ``dual-rank1`` rank-one chart are
+    mixed by random unitary matrices drawn from the tracker seed: a plain
+    chart misses every point whose kernel (or rank-one column factor) has a
+    vanishing leading block, as on diagonal data, and a generic one holds
+    them all.
+    """
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}")
     rng = np.random.default_rng((cfg.seed, 0xC4A7))
@@ -1218,32 +1235,15 @@ def _build_charts(instance: Instance, formulation: str,
         q, _ = np.linalg.qr(a)
         return q
 
-    def scaled_permutation(k):
-        # relocates the kernel-chart identity block without densifying the
-        # equations, so the multihomogeneous degree profile is preserved
-        perm = rng.permutation(k)
-        phases = np.exp(2j * np.pi * rng.uniform(size=k))
-        mix = np.zeros((k, k), dtype=complex)
-        mix[np.arange(k), perm] = phases
-        return mix
-
-    one_chart = {"primal": systems.primal_corank1, "hankel-rank1": systems.hankel_rank1,
-                 "catalecticant": systems.catalecticant_rank2}
-    if formulation in one_chart:
-        return [one_chart[formulation](instance)]
     if formulation == "normal":
-        charts = [systems.normal_space(instance)]
-        if cfg.charts > 1:
-            charts.append(systems.normal_space(
-                instance, left_mix=scaled_permutation(instance.m),
-                right_mix=scaled_permutation(instance.n)))
-        return charts
-    # dual-rank1: the rank-one chart at rank one, its Hadamard dual at corank one
-    builder = systems.rank1_direct if instance.r == 1 else systems.dual_rank1
-    charts = [builder(instance)]
-    if cfg.charts > 1:
-        charts.append(builder(instance, random_unitary(instance.n)))
-    return charts
+        return systems.normal_space(instance, left_mix=random_unitary(instance.m),
+                                    right_mix=random_unitary(instance.n))
+    if formulation == "dual-rank1":
+        # the rank-one chart at rank one, its Hadamard dual at corank one
+        builder = systems.rank1_direct if instance.r == 1 else systems.dual_rank1
+        return builder(instance, random_unitary(instance.n))
+    return {"primal": systems.primal_corank1, "hankel-rank1": systems.hankel_rank1,
+            "catalecticant": systems.catalecticant_rank2}[formulation](instance)
 
 
 def default_formulation(instance: Instance) -> str:
@@ -1260,41 +1260,32 @@ def solve(instance: Instance, formulation: str = "auto",
           expected: int | None = None) -> SolutionSet:
     """Find all complex critical points of the instance.
 
-    Tracks the charts of the requested formulation, merges and deduplicates
-    endpoints in matrix space, folds chart symmetries, classifies real points,
-    and reconciles the count against the exact engine when a formula applies.
-    A seeded chart fills the fibre to the count on its own, and a chart that
-    took the weight route holds every isolated point, so no further chart is
-    tracked after either.
+    Tracks the one chart of the requested formulation, deduplicates its
+    endpoints in matrix space, folds the chart symmetry, classifies real
+    points, and reconciles the count against the exact engine when a
+    formula applies.
     """
     cfg = config or TrackerConfig()
     if formulation == "auto":
         formulation = default_formulation(instance)
-    charts = _build_charts(instance, formulation, cfg)
+    system = _build_charts(instance, formulation, cfg)
     exact, basis = _predict(instance)
     # a conjectured count is what a solve tests and an upper bound may be
     # too high: neither may stop the search
     count = None if basis.startswith(("conjectured", "upper bound")) else exact
-    stats = PathStats(charts=0)
+    stats = PathStats()
     warnings: list[str] = []
-    raw: list[tuple[np.ndarray, np.ndarray, float, str]] = []
-    for system in charts:
-        if stats.charts and (stats.generic_count or (
-                count and system.lift is not None
-                and len(_dedup(raw, DEDUP_TOL)) >= count)):
-            break
-        raw.extend(solve_system(system, cfg, stats, count))
-        stats.charts += 1
-    raw = _fold_symmetry(_dedup(raw, DEDUP_TOL), charts[0], DEDUP_TOL, warnings)
+    raw = solve_system(system, cfg, stats, count)
+    raw = _fold_symmetry(_dedup(raw, DEDUP_TOL), system, DEDUP_TOL, warnings)
 
     Lam = instance.weights.as_array()
     U = instance.data_array()
     points: list[CriticalPoint] = []
-    for coords, mat, res, chart, singular in raw:
+    for coords, mat, res, singular in raw:
         scale = 1.0 + float(np.max(np.abs(mat)))
         is_real = bool(np.max(np.abs(np.imag(mat))) < REAL_TOL * scale)
         cp = CriticalPoint(coords=coords, X=mat, residual=res, is_real=is_real,
-                           chart=chart, multiplicity_flag=singular)
+                           multiplicity_flag=singular)
         if is_real:
             cp.objective = float(np.real(systems.objective(np.real(mat), U, Lam)))
             cp.classification = classify_point(instance, cp)

@@ -83,7 +83,6 @@ class PolySystem:
     symmetry: Callable[[np.ndarray], np.ndarray] | None = None  # an involution
     potential: Poly | None = None
     grad_map: tuple[int | None, ...] | None = None  # var index -> equation index
-    chart_tag: str = "default"
     # equations whose block carries the overdeterminacy (polynomial syzygies);
     # squaring-up must randomize inside this block, or the squared Jacobian
     # degenerates at every solution
@@ -177,8 +176,7 @@ def _chart_system(instance: Instance, variables: tuple[str, ...],
                   labels: tuple[str, ...], chart: list[Poly], weights: list[float],
                   data: list[float], to_matrix: Callable[[np.ndarray], np.ndarray],
                   degenerate: Callable[[np.ndarray, np.ndarray, float], bool],
-                  symmetry: Callable[[np.ndarray], np.ndarray] | None = None,
-                  chart_tag: str = "default") -> PolySystem:
+                  symmetry: Callable[[np.ndarray], np.ndarray] | None = None) -> PolySystem:
     """Gradient system of g = sum_k w_k (phi_k - u_k)^2 over the chart
     polynomials phi; to_matrix takes their values to the instance's X."""
     nvars = len(variables)
@@ -191,7 +189,7 @@ def _chart_system(instance: Instance, variables: tuple[str, ...],
         variables=variables, equations=[g.diff(i) for i in range(nvars)],
         var_labels=labels, reconstruct=rec, instance=instance,
         degenerate=degenerate, symmetry=symmetry, potential=g,
-        grad_map=tuple(range(nvars)), chart_tag=chart_tag,
+        grad_map=tuple(range(nvars)),
     )
 
 
@@ -259,9 +257,9 @@ def _rank_one_chart(instance: Instance, U: np.ndarray, Lam: np.ndarray,
     """Gradient system of sum (y_ij - lambda_ij u_ij)^2 / lambda_ij on the
     rank-one chart y_ij = t_i v_j, v = col_mix @ (1, z_1, .., z_{n-1}).
 
-    col_mix defaults to the identity (the plain chart v = (1, z)); a random
-    invertible mix gives a second chart that covers rank-one matrices whose
-    first column vanishes.  The cone point y = 0 is degenerate.
+    col_mix defaults to the identity (the plain chart v = (1, z)), which
+    misses rank-one matrices whose first column vanishes; a random
+    invertible mix holds them.  The cone point y = 0 is degenerate.
     """
     if instance.section()[1].size:
         raise ValueError("the rank-one chart does not support linear sections "
@@ -284,8 +282,7 @@ def _rank_one_chart(instance: Instance, U: np.ndarray, Lam: np.ndarray,
 
     return _chart_system(
         instance, variables, labels, chart, (1.0 / Lam).ravel().tolist(),
-        (Lam * U).ravel().tolist(), lambda vec: to_matrix(vec.reshape(m, n)),
-        degen, chart_tag="default" if col_mix is None else "mixed")
+        (Lam * U).ravel().tolist(), lambda vec: to_matrix(vec.reshape(m, n)), degen)
 
 
 def dual_rank1(instance: Instance, col_mix: np.ndarray | None = None) -> PolySystem:
@@ -334,9 +331,9 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
     Any family: x holds the m n matrix entries, and ``instance.section()``
     adds the family's own linear conditions to the constraints.
 
-    Optional left/right mixes replace the identity blocks by a generic chart;
-    solving in a second chart recovers points whose kernels are not graded
-    compatibly with the plain one.
+    Optional left/right mixes replace the identity blocks by a generic chart,
+    which holds every kernel; the plain chart misses those whose top block
+    is singular, as on diagonal data.
     """
     m, n, r = instance.m, instance.n, instance.r
     C, const = instance.section()
@@ -428,9 +425,7 @@ def normal_space(instance: Instance, left_mix: np.ndarray | None = None,
         variables=variables, equations=equations, var_labels=labels,
         reconstruct=lambda coords: np.array(coords[:n_x]).reshape(m, n),
         instance=instance, degenerate=degen,
-        potential=potential, grad_map=grad_map,
-        chart_tag="default" if left_mix is None and right_mix is None else "mixed",
-        merge_block=bilinear, lift=lift,
+        potential=potential, grad_map=grad_map, merge_block=bilinear, lift=lift,
     )
 
 

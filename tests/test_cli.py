@@ -284,11 +284,12 @@ def test_usage_errors_exit_1(argv, capsys):
     assert out == "" and "error" in err
 
 
-def test_solve_takes_one_or_two_charts(tmp_path, capsys):
+def test_solve_rejects_the_charts_option(tmp_path, capsys):
+    # every solve tracks one chart, so there is no chart count to ask for
     path = tmp_path / "inst.json"
     structured.save_instance(structured.dense_instance(2, 2, 1, seed=8), path)
     code, out, err = run_cli(["solve", "--input", str(path), "--seed", "2",
-                              "--charts", "3"], capsys)
+                              "--charts", "1"], capsys)
     assert code == 1
     assert out == "" and "--charts" in err
 

@@ -278,14 +278,14 @@ def test_path_outcomes_are_pinned():
     ss = sv.solve(rey, "dual-rank1", sv.TrackerConfig(seed=1, charts=1))
     assert vars(ss.stats) == dict(
         n_paths=73, n_converged=43, n_diverged=0, n_singular=30, n_failed=0,
-        n_filtered=28, n_raw_points=45, start_kind="mh:t|z", charts=1,
+        n_filtered=28, n_raw_points=45, start_kind="mh:t|z",
         generic_count=0, n_lost=0)
     assert (ss.n_complex, ss.n_real, ss.n_local_min) == (39, 19, 7)
     inst = st.dense_instance(2, 3, 1, seed=6, s=2)
     ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
     assert vars(ss.stats) == dict(
         n_paths=14, n_converged=14, n_diverged=0, n_singular=0, n_failed=0,
-        n_filtered=0, n_raw_points=7, start_kind="seeded", charts=1,
+        n_filtered=0, n_raw_points=7, start_kind="seeded",
         generic_count=0, n_lost=0)
     assert ss.n_complex == 7
 
@@ -310,15 +310,22 @@ def test_unit_diag_2x2_eckart_young_case():
     assert mats == [[[0.0, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 0.0]]]
 
 
-def test_unit_diag_3x3_truncations_and_classification():
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("diag", [(3, 2, 1), (5, 3, 2)], ids=["321", "532"])
+@pytest.mark.parametrize("formulation", ["auto", "dual-rank1"])
+def test_unit_diag_3x3_truncations_and_classification(formulation, diag, seed):
+    # the critical points of diagonal data have kernels on coordinate axes,
+    # which the plain charts mostly miss: one mixed chart holds all three
     inst = st.Instance(m=3, n=3, r=2, family="dense",
-                       U=tuple(map(tuple, np.diag([3, 2, 1]).tolist())),
+                       U=tuple(map(tuple, np.diag(diag).tolist())),
                        weights=st.WeightMatrix.ones(3, 3))
-    ss = sv.solve(inst, "dual-rank1", sv.TrackerConfig(seed=4))
+    ss = sv.solve(inst, formulation, sv.TrackerConfig(seed=seed))
     assert ss.n_complex == 3 == ss.n_real
     assert ss.predicted == 3 and ss.agreement
+    if formulation == "auto":
+        assert ss.stats.start_kind == "seeded"
     best = ss.closest()
-    assert np.allclose(np.real(best.X), np.diag([3.0, 2.0, 0.0]), atol=1e-8)
+    assert np.allclose(np.real(best.X), np.diag([diag[0], diag[1], 0.0]), atol=1e-8)
     assert best.classification == "local_min"
     assert np.allclose(np.real(best.X), eckart_young(inst.data_array(), 2),
                        atol=1e-8)
@@ -377,7 +384,7 @@ def test_duality_bijection_small():
     # the chart returns corank-one points X whose transfers Y = Lam * (U - X)
     # have rank one
     assert len(dual_points) == 39
-    for coords, X, res, chart, flag in dual_points[:5]:
+    for coords, X, res, flag in dual_points[:5]:
         Y = sy.dual_transfer(X, Lam, U)
         assert np.linalg.matrix_rank(np.asarray(Y, dtype=complex), tol=1e-6) == 1
         assert abs(np.linalg.det(X)) < 1e-6 * (1.0 + np.max(np.abs(X))) ** 3
@@ -491,11 +498,11 @@ def test_structured_instance_with_constraints_has_no_prediction():
 
 
 def test_dedup_prefers_clean_representatives():
-    a = (np.array([1.0 + 0j]), np.array([[1.0 + 0j]]), 1e-12, "default", True)
-    b = (np.array([1.0 + 1e-9j]), np.array([[1.0 + 1e-9j]]), 1e-10, "default", False)
+    a = (np.array([1.0 + 0j]), np.array([[1.0 + 0j]]), 1e-12, True)
+    b = (np.array([1.0 + 1e-9j]), np.array([[1.0 + 1e-9j]]), 1e-10, False)
     kept = sv._dedup([a, b], 1e-6)
     assert len(kept) == 1
-    assert kept[0][4] is False
+    assert kept[0][3] is False
 
 
 def test_solve_rejects_sectioned_dual_chart():
@@ -638,13 +645,12 @@ def test_seeded_solve_repeats_exactly():
 
 
 def test_seeded_solve_tracks_no_chart_past_the_count():
-    # the first seeded chart fills the fibre on its own: a second chart would
-    # only find the same points again
+    # one seeded chart fills the fibre on its own, and TrackerConfig.charts
+    # asks for no second one: its value changes nothing
     inst = st.dense_instance(3, 3, 1, seed=3, s=1)
     one = sv.solve(inst, "normal", sv.TrackerConfig(seed=3, charts=1))
     two = sv.solve(inst, "normal", sv.TrackerConfig(seed=3, charts=2))
     assert one.stats.start_kind == "seeded" and one.n_complex == one.predicted
-    assert two.stats.charts == 1
     assert vars(two.stats) == vars(one.stats)
     assert [p.X.tolist() for p in two.points] == [p.X.tolist() for p in one.points]
 
@@ -704,7 +710,7 @@ def test_a_stalled_fill_takes_the_weight_route(monkeypatch):
         predict(instance)[0] + (instance == inst), "generic ED degree"))
     ss = sv.solve(inst, "normal", cfg)
     assert ss.stats.start_kind == "seeded>weights"
-    assert ss.stats.charts == 1 and ss.stats.consistent()
+    assert ss.stats.consistent()
     assert (ss.generic_count, ss.stats.n_lost, ss.predicted) == (7, 0, 8)
     assert _same_points(ss, plain)
 
@@ -742,7 +748,7 @@ def test_auto_solves_rey_through_normal():
     dual = sv.solve(rey, "dual-rank1", sv.TrackerConfig(seed=1))
     assert auto.stats.start_kind == "seeded"
     assert (auto.n_complex, auto.n_real, auto.n_local_min) == (39, 19, 7)
-    assert auto.stats.n_paths < dual.stats.n_paths
+    assert auto.stats.n_converged == auto.stats.n_paths
     for p in auto.points:
         assert min(np.max(np.abs(p.X - q.X)) for q in dual.points) < 1e-6
 
@@ -758,6 +764,17 @@ def test_sectioned_rank_one_minima_respect_the_section():
     inst = st.dense_instance(2, 3, 1, seed=6, s=2)
     ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=6, charts=1))
     assert (ss.n_real, ss.n_local_min) == (3, 3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hankel33_omega_in_the_mixed_normal_chart(seed):
+    # the structured section in the generic kernel chart: the seeded fill
+    # reaches the generic Hankel count
+    inst = st.load_dataset("hankel33").with_weights(
+        st.hankel_weights(5, "omega")).with_rank(2)
+    ss = sv.solve(inst, "normal", sv.TrackerConfig(seed=seed))
+    assert ss.stats.start_kind == "seeded"
+    assert ss.n_complex == ss.predicted == 13
 
 
 @pytest.mark.parametrize("kind, r, n_real, n_min", [
@@ -792,12 +809,12 @@ def test_matchers_on_planted_points():
     base = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
 
     # each point, a near copy flagged singular (dropped) and a far copy (kept)
-    entries = [(X.ravel(), X, 1e-12, "default", flag)
+    entries = [(X.ravel(), X, 1e-12, flag)
                for M in base
                for X, flag in ((M, False), (M + 1e-9, True), (M + 1e-3, False))]
     kept = sv._dedup(entries, 1e-6)
     assert len(kept) == 8
-    assert not any(e[4] for e in kept)
+    assert not any(e[3] for e in kept)
 
     # two conjugate pairs, one lone point, and a second copy of a conjugate
     # whose partner is already taken
@@ -816,7 +833,7 @@ def test_matchers_on_planted_points():
                         symmetry=lambda c: c[::-1])
     coords = [np.array([1.0, 2.0]), np.array([3.0, 3.0]),
               np.array([2.0, 1.0 + 1e-7]), np.array([4.0, 5.0])]
-    points = [(c, np.array([c]), 0.0, "default", False) for c in coords]
+    points = [(c, np.array([c]), 0.0, False) for c in coords]
     warnings: list[str] = []
     folded = sv._fold_symmetry(points, system, 1e-6, warnings)
     assert [p[0].tolist() for p in folded] == [[1.0, 2.0], [3.0, 3.0], [4.0, 5.0]]
@@ -832,7 +849,7 @@ def test_matchers_match_the_pairwise_loops():
     def dedup_loop(points, tol):
         kept = []
         for i in sorted(range(len(points)),
-                        key=lambda i: (points[i][4], points[i][2], i)):
+                        key=lambda i: (points[i][3], points[i][2], i)):
             if not any(close(points[i][1], k[1], tol) for k in kept):
                 kept.append(points[i])
         return kept
@@ -858,7 +875,7 @@ def test_matchers_match_the_pairwise_loops():
         M = centers[rng.integers(6)]
         M = np.conj(M) if rng.random() < 0.5 else M
         mats.append(M + 10.0 ** rng.uniform(-8, -3) * rng.normal(size=M.shape))
-    points = [(X.ravel(), X, float(rng.random()), "default", bool(rng.random() < 0.3))
+    points = [(X.ravel(), X, float(rng.random()), bool(rng.random() < 0.3))
               for X in mats]
     for tol in (1e-6, 1e-5):
         assert [id(p) for p in sv._dedup(points, tol)] == \
