@@ -10,26 +10,26 @@ the rank-r matrices, whatever the family or formulation.
 
 Every solve tracks one chart.  The normal-space chart is mixed by random
 unitary matrices, so it holds every critical point, also those whose
-kernels a coordinate chart misses (diagonal data put them there).  It
-skips the start system when the exact engine gives the count d: 2d seeds,
-exact critical points of their own data from the linear inverse of the
-problem, are carried to the data by one parameter homotopy, and monodromy
-loops through random complex data permute the fibre until d points are
-known (Morgan & Sommese's coefficient-parameter theorem: no instance has
-more nonsingular isolated critical points than d, so stopping there hides
-none).  Dense charts reach weights where that count is only an upper bound,
-or unknown, by the weight route: the fibre filled at random generic weights
-is carried to the instance's weights by one parameter homotopy, and the
-paths that diverge are critical points lost to infinity
+kernels a coordinate chart misses (diagonal data put them there).  Its
+seed batch, loop legs and weight route are one parameter homotopy of its
+one compiled squared system (`_correction`: the data U and weights Lam enter
+only the Lagrange rows, as a per-row diagonal term and constant).  Given
+the exact count d, 2d seeds, exact critical points of their own data from
+the linear inverse of the problem, are carried to U, and monodromy loops
+through random complex data permute the fibre until d points are known
+(Morgan & Sommese's coefficient-parameter theorem: no instance has more
+nonsingular isolated critical points than d, so stopping there hides
+none).  Dense charts whose count is only an upper bound, or unknown, take
+the weight route: the fibre filled at random generic weights is carried to
+Lam, and the paths that diverge are critical points lost to infinity
 (``PathStats.start_kind`` reads ``weights``, or ``seeded>weights`` after a
-fill that stalled STALL_LOOPS loops in a row without a new point).  The
-multihomogeneous start runs only where the fill at generic weights stalls
-too (``seeded>mh:...``), then in the plain normal-space chart, whose
-sparser equations need fewer start paths, and for charts without a lift; a
-start system hands back all its start points as one array, tracked CHUNK
-paths at a time.  The start system, the seed batch and the weight route
-keep their endpoints (converged or singular) through one step,
-``_endpoints``.
+fill that stalled STALL_LOOPS loops in a row without a new point).  A
+multihomogeneous or total-degree start runs only where the fill at generic
+weights stalls too (``seeded>mh:...``, in the plain normal-space chart,
+whose sparser equations need fewer start paths) and for charts without a
+lift, CHUNK start points at a time.  The start system, the seed batch and
+the weight route keep their endpoints (converged or singular) through one
+step, ``_endpoints``.
 
 Paths are tracked in vectorized batches: the per-path adaptive state lives in
 flat numpy arrays and every predictor/corrector stage is a batched polynomial
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as iter_product
 from typing import Callable, Iterator, Sequence
@@ -492,29 +492,39 @@ def _batched_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class Homotopy:
-    """H(x, t) = gamma (1-t) G(x) + t F(x), t from 0 to 1.
+    """Paths of H(x, t) = 0 from t = 0 to t = 1 on a compiled target F.
 
-    The target is a compiled sparse-monomial system; the start system is
-    evaluated in closed form from its factor structure.  Without a start
-    system, H(x, t) = F(x) + (1-t) a + t b is a parameter homotopy: the
-    offsets a and b, constant along each path (rows of ``offsets``, picked by
-    the path indices ``rows``), move F's parameters along a segment, and
-    F + b is the system the paths end on.
+    With a start system G (closed form), H = gamma (1-t) G(x) + t F(x).
+    Without one, H is F plus a correction affine in
+    phi(t) = t / (t + gamma (1-t)) (t for gamma = 1) between the paths'
+    corrections at their start and end parameters, the two `_correction`s
+    of ``move`` (both with d or both without).
     """
 
-    def __init__(self, target: CompiledSystem, start, gamma: complex = 1.0,
-                 offsets: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, target: CompiledSystem, start=None, gamma: complex = 1.0,
+                 move: tuple | None = None):
         self.f = target
         self.start = start
         self.gamma = gamma
-        self.offsets = offsets
+        self.move = move
 
-    def eval_jac(self, x: np.ndarray, t: np.ndarray, rows=None):
+    def eval_jac(self, x: np.ndarray, t: np.ndarray, paths=None):
         fv, fj = self.f.eval_and_jac(x)
         if self.start is None:
-            a, b = self.offsets[0][rows], self.offsets[1][rows]
-            ht = b - a
-            return fv + a + t[:, None] * ht, fj, ht
+            (rows, d0, k0), (_, d1, k1) = self.move
+            phi = t[:, None]
+            if self.gamma != 1:
+                s = phi + self.gamma * (1 - phi)
+                phi, dphi = phi / s, self.gamma / s ** 2
+            k0 = k0[paths]
+            ht = k1[paths] - k0
+            d = None if d0 is None else d0[paths] + phi * (d1[paths] - d0[paths])
+            h = _shift(fv, fj, x, (rows, d, k0))[0] + phi * ht
+            if d is not None:
+                ht[:, rows] += (d1[paths] - d0[paths]) * x[:, :d.shape[1]]
+            if self.gamma != 1:
+                ht *= dphi
+            return h, fj, ht
         gv, gj = self.start.eval_and_jac(x)
         wf = t[:, None]
         wg = self.gamma * (1 - t)[:, None]
@@ -526,20 +536,65 @@ class Homotopy:
         fj += gj
         return h, fj, ht
 
-    def tangent(self, x: np.ndarray, t: np.ndarray, rows=None):
-        _, hx, ht = self.eval_jac(x, t, rows)
+    def tangent(self, x: np.ndarray, t: np.ndarray, paths=None):
+        _, hx, ht = self.eval_jac(x, t, paths)
         sol, ok = _batched_solve(hx, -ht)
         return sol, ok
 
-    def end_eval(self, x: np.ndarray, rows) -> np.ndarray:
-        """F + b, the system at t = 1, at the paths ``rows`` (b = 0 after a
-        start system)."""
-        fv = self.f.eval(x)
-        return fv if self.start is not None else fv + self.offsets[1][rows]
+    def end_eval(self, x: np.ndarray, paths, jac: bool = False):
+        """The system at t = 1 at the paths ``paths``, with its Jacobian if
+        ``jac``."""
+        fv, fj = self.f.eval_and_jac(x) if jac else (self.f.eval(x), None)
+        if self.start is None:
+            rows, d, k = self.move[1]
+            _shift(fv, fj, x, (rows, None if d is None else d[paths], k[paths]))
+        return (fv, fj) if jac else fv
 
-    def end_eval_and_jac(self, x: np.ndarray, rows):
-        fv, fj = self.f.eval_and_jac(x)
-        return (fv if self.start is not None else fv + self.offsets[1][rows]), fj
+
+def _shift(fv: np.ndarray, fj: np.ndarray | None, x: np.ndarray,
+           shift: tuple | None) -> tuple:
+    """Move a chart's values and Jacobian (or None) in place by ``shift`` =
+    (rows, d, k): they gain k, and x_v's row, rows.start + v, gains d_v x_v
+    (unless d is None)."""
+    if shift is not None:
+        rows, d, k = shift
+        fv += k
+        if d is not None:
+            m = d.shape[-1]
+            fv[:, rows] += d * x[:, :m]
+            if fj is not None:
+                diagonal = np.einsum("nii->ni", fj[:, rows, :m])  # a view
+                diagonal += d
+    return fv, fj
+
+
+def _correction(system: PolySystem, n: int, lam: np.ndarray | None, v: np.ndarray,
+                squared: bool = True) -> tuple:
+    """A normal-space chart at other parameters, as the ``shift`` (rows, d, k)
+    of `_shift` for n paths: x_v's row, rows.start + v, is c_v Lam_v (x_v - U_v)
+    plus terms free of (U, Lam), c_v its normaliser in the squared system
+    (1 in the full one) at the instance's own parameters, so at the flat
+    weights ``lam`` (None: Lam, and d None) and the data ``v`` (one matrix
+    or one per path) it gains c_v [(lam_v - Lam_v) x_v - (lam_v v_v -
+    Lam_v U_v)]."""
+    inst, eqs = system.instance, system.equations
+    lagrange = system.grad_map[:inst.m * inst.n]
+    neqs = system.n_vars if squared else len(eqs)
+    # normal_space puts these rows last, in order, and square_up folds the
+    # merge block before them into fewer rows
+    first = lagrange[0] - (len(eqs) - neqs)
+    rows = slice(first, first + len(lagrange))
+    c = np.array([1.0 / max(map(abs, eqs[k].terms.values())) if squared else 1.0
+                  for k in lagrange])
+    Lam, U = inst.weights.as_array().ravel(), inst.data_array().ravel()
+    v = v.reshape(v.shape[:-2] + (len(lagrange),))
+    k = np.zeros(v.shape[:-1] + (neqs,), dtype=complex)
+    k[..., rows] = c * Lam * (U - v)
+    if lam is None:
+        return rows, None, np.broadcast_to(k, (n, neqs))
+    k[..., rows] += c * (Lam - lam) * v
+    return rows, np.broadcast_to(c * (lam - Lam), (n, len(lagrange))), \
+        np.broadcast_to(k, (n, neqs))
 
 
 def track_batch(hom: Homotopy, x0: np.ndarray):
@@ -666,7 +721,7 @@ def _newton(eval_and_jac, x: np.ndarray, iters: int, tol: float):
 def newton_target(hom: Homotopy, x: np.ndarray, rows: np.ndarray, iters: int = 12):
     """Newton on the system at t = 1 alone (square systems) for the paths
     ``rows``."""
-    xc, _, ok = _newton(lambda i, z: hom.end_eval_and_jac(z, rows[i]), x,
+    xc, _, ok = _newton(lambda i, z: hom.end_eval(z, rows[i], jac=True), x,
                         iters, NEWTON_TOL)
     res = np.max(np.abs(hom.end_eval(xc, rows)), axis=1)
     conv = ok & np.isfinite(res) & (res < 1e-6 * (1.0 + hom.f.coeff_scale)) \
@@ -705,30 +760,35 @@ def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray):
     return limit, got
 
 
-def refine_full(compiled_full: CompiledSystem, points: np.ndarray) -> np.ndarray:
+def refine_full(compiled_full: CompiledSystem, points: np.ndarray,
+                shift: tuple | None = None) -> np.ndarray:
     """Gauss-Newton refinement on the original (possibly overdetermined)
-    system, with a mixed-precision ultimate pass for the survivors."""
+    system, moved to other parameters by ``shift`` (see `_shift`), with a
+    mixed-precision ultimate pass for the survivors."""
     if points.size == 0:
         return points
-    xc, _, _ = _newton(lambda i, z: compiled_full.eval_and_jac(z),
+    xc, _, _ = _newton(lambda i, z: _shift(*compiled_full.eval_and_jac(z), z, shift),
                        points.astype(complex), 12, NEWTON_TOL)
     if xc.shape[0] <= 2000:
-        xc = _polish_extended(compiled_full, xc)
+        xc = _polish_extended(compiled_full, xc, shift)
     return xc
 
 
-def _polish_extended(compiled: CompiledSystem, points: np.ndarray) -> np.ndarray:
+def _polish_extended(compiled: CompiledSystem, points: np.ndarray,
+                     shift: tuple | None = None) -> np.ndarray:
     """Iterative refinement with extended-precision residuals: the correction
-    is solved in double precision but the residual is evaluated in
-    complex long double, which resolves algebraic coordinates well below
-    double-precision Newton stagnation.  Three steps: tol = 0 stops none."""
+    is solved in double precision but the residual (moved by ``shift`` as
+    in `refine_full`) is evaluated in complex long double, which resolves
+    algebraic coordinates well below double-precision Newton stagnation.
+    Three steps: tol = 0 stops none."""
     cf = compiled._cf.tocoo()
 
     def eval_and_jac(idx, x):
         mv = compiled.monomial_values(x)  # (nm, N) in extended precision
         fv = np.zeros((compiled.neqs, x.shape[0]), dtype=np.clongdouble)
         np.add.at(fv, cf.col, cf.data[:, None] * mv[cf.row])
-        return fv.T.astype(complex, order="C"), compiled.jac(x.astype(complex))
+        fv, fj = _shift(fv.T, compiled.jac(x.astype(complex)), x, shift)
+        return fv.astype(complex, order="C"), fj
 
     xc, _, _ = _newton(eval_and_jac, points.astype(np.clongdouble), 3, 0.0)
     return xc.astype(complex)
@@ -962,14 +1022,13 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
     """
     cfg = cfg or TrackerConfig()
     stats = stats or PathStats()
-    rng, mixed, squared, compiled_full, compiled_sq = _squared(system, cfg)
+    rng, squared, compiled_full, compiled_sq = _squared(system, cfg)
     accept = partial(_accept, system, compiled_full, stats=stats)
     seeded = bool(count) and system.lift is not None
     accepted: list[tuple] = []
     kind = ""
     if seeded:
-        accepted = _fill_fibre(system, mixed, squared, compiled_sq, count, cfg,
-                               accept, stats)
+        accepted = _fill_fibre(system, compiled_sq, count, cfg, accept, stats)
         kind = "seeded"
     filled = seeded and len(accepted) >= count
     deformed = None
@@ -981,7 +1040,7 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
     if not filled and deformed is None:
         if system.lift is not None:
             system = systems.normal_space(system.instance)
-            rng, _, squared, compiled_full, compiled_sq = _squared(system, cfg)
+            rng, squared, compiled_full, compiled_sq = _squared(system, cfg)
         start, points, desc = choose_start(
             squared, system.label_indices(), system.n_vars, rng)
         hom = Homotopy(compiled_sq, start, cfg.gamma())
@@ -996,13 +1055,11 @@ def solve_system(system: PolySystem, cfg: TrackerConfig | None = None,
 
 
 def _squared(system: PolySystem, cfg: TrackerConfig):
-    """The chart's draws (the same chart at other weights squares up with
-    the same mix), its mixed and normalised squared equations, and the full
-    and squared systems compiled."""
+    """The chart's draws, its normalised squared equations, and the full and
+    squared systems compiled."""
     rng = np.random.default_rng((cfg.seed, DRAW_KEY))
-    mixed = square_up(system, rng)
-    squared = normalize_equations(mixed)
-    return (rng, mixed, squared, CompiledSystem(system.equations, system.n_vars),
+    squared = normalize_equations(square_up(system, rng))
+    return (rng, squared, CompiledSystem(system.equations, system.n_vars),
             CompiledSystem(squared, system.n_vars))
 
 
@@ -1024,12 +1081,14 @@ def _tally(stats: PathStats, status: np.ndarray) -> None:
 
 
 def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
-            flags: np.ndarray, stats: PathStats) -> list[tuple]:
-    """Refine endpoints on the full system; keep those that pass the
-    residual and degenerate-locus filters."""
+            flags: np.ndarray, stats: PathStats,
+            shift: tuple | None = None) -> list[tuple]:
+    """Refine endpoints on the full system (moved by ``shift`` as in
+    `refine_full`); keep those that pass the residual and degenerate-locus
+    filters."""
     with np.errstate(all="ignore"):
-        pts = refine_full(compiled_full, pts)
-        fv = compiled_full.eval(pts)
+        pts = refine_full(compiled_full, pts, shift)
+        fv = _shift(compiled_full.eval(pts), None, pts, shift)[0]
     res = np.max(np.abs(fv), axis=1)
     threshold = 1e-8 * (1.0 + compiled_full.coeff_scale)
     accepted: list[tuple] = []
@@ -1052,10 +1111,10 @@ def _accept(system: PolySystem, compiled_full: CompiledSystem, pts: np.ndarray,
 STALL_LOOPS = 8
 
 
-def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
-                compiled_sq: CompiledSystem, count: int, cfg: TrackerConfig,
+def _fill_fibre(system: PolySystem, compiled_sq: CompiledSystem, count: int,
+                cfg: TrackerConfig,
                 accept: Callable[[np.ndarray, np.ndarray], list[tuple]],
-                stats: PathStats) -> list[tuple]:
+                stats: PathStats, weights: WeightMatrix | None = None) -> list[tuple]:
     """Critical points over the data U by parameter homotopy from exact seeds.
 
     2 * count seeds (X, N) are critical for their own data X + N / Lam; one
@@ -1067,28 +1126,19 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
     after STALL_LOOPS loops in a row that add nothing; the caller then takes
     the weight route or the start system.  Where the section admits no seeds
     (s > r n), nothing is tracked, and where no seed reaches the data, no
-    loop is.
+    loop is.  Lam is the instance's weights, or ``weights`` (the chart moved
+    there by `_correction`; ``accept`` then filters at them).
     """
-    inst = system.instance
+    inst = system.instance if weights is None else system.instance.with_weights(weights)
     U, Lam = inst.data_array(), inst.weights.as_array()
     m, n = U.shape
     rng = np.random.default_rng((cfg.seed, DRAW_KEY, 1))
     scale = float(np.mean(np.abs(U))) or 1.0
-    # the data enter only the Lagrange rows, which square_up passes through
-    # unmixed: moving U to V adds c_v (U_v - V_v) to x_v's row (grad_map),
-    # c_v the row's normalised coefficient of x_v
-    position = {id(eq): k for k, eq in enumerate(mixed)}
-    rows = np.array([position[id(system.equations[system.grad_map[v]])]
-                     for v in range(m * n)])
-    coef = np.array([squared[k].terms[tuple(int(i == v) for i in range(system.n_vars))]
-                     for v, k in enumerate(rows)])
+    lam = None if weights is None else Lam.ravel()
 
     def segment(x, v0, v1) -> Homotopy:
-        def offset(v):
-            out = np.zeros(v.shape[:-2] + (len(squared),), dtype=complex)
-            out[..., rows] = coef * (U - v).reshape(v.shape[:-2] + (m * n,))
-            return np.broadcast_to(out, (len(x), len(squared)))
-        return Homotopy(compiled_sq, None, offsets=(offset(v0), offset(v1)))
+        return Homotopy(compiled_sq, move=[_correction(system, len(x), lam, v)
+                                           for v in (v0, v1)])
 
     found: list[tuple] = []
 
@@ -1125,56 +1175,42 @@ def _fill_fibre(system: PolySystem, mixed: list[Poly], squared: list[Poly],
 
 
 def _deform_weights(system: PolySystem, compiled_sq: CompiledSystem,
-                    cfg: TrackerConfig,
-                    accept: Callable[[np.ndarray, np.ndarray], list[tuple]],
+                    cfg: TrackerConfig, accept: Callable[..., list[tuple]],
                     stats: PathStats) -> list[tuple] | None:
     """Critical points at the instance's weights Lam from the fibre at
     generic weights Lam_g.
 
-    The same chart at Lam_g (random, seeded by ``cfg.seed``, so no minor
-    vanishes) is squared with the same mix and filled to its generic count d;
-    one gamma-trick homotopy then carries the d points to Lam.  The weights
-    enter only the Lagrange rows, linearly, so this is a parameter homotopy
-    and its endpoints include every isolated critical point at Lam (Morgan &
-    Sommese's coefficient-parameter theorem); paths that diverge are points
-    lost to infinity.  Returns the accepted endpoints, or None where no
-    generic count applies or the fill at Lam_g stalls short of it.
+    The chart moved to Lam_g (random, seeded by ``cfg.seed``, so no minor
+    vanishes) is filled to its generic count d, and one parameter homotopy
+    moves the d points from Lam_g to Lam along
+    phi(t) = t / (t + gamma (1-t)), gamma = ``cfg.gamma()``.  The weights
+    enter only the Lagrange rows, so its endpoints include every isolated
+    critical point at Lam (Morgan & Sommese's coefficient-parameter
+    theorem); paths that diverge are points lost to infinity.  Returns the
+    accepted endpoints, or None where no generic count applies or the fill
+    at Lam_g stalls short of it; ``accept`` filters at Lam_g given its shift.
     """
     inst = system.instance
     Lam = inst.weights.as_array()
     rng = np.random.default_rng((cfg.seed, 0x3E16))
     weights = WeightMatrix.from_rows(
         (np.mean(Lam) * rng.uniform(0.5, 2.0, size=Lam.shape)).tolist())
-    generic = _reweighted(system, weights)
-    d = _predict(generic.instance)[0]
+    d = _predict(inst.with_weights(weights))[0]
     if not d:
         return None
-    _, mixed, squared, generic_full, generic_sq = _squared(generic, cfg)
-    fibre = _fill_fibre(
-        generic, mixed, squared, generic_sq, d, cfg,
-        lambda pts, flags: _accept(generic, generic_full, pts, flags, stats),
-        stats)
+    U, lam = inst.data_array(), weights.as_array().ravel()
+    fibre = _fill_fibre(system, compiled_sq, d, cfg,
+                        partial(accept, shift=_correction(system, 1, lam, U, False)),
+                        stats, weights)
     if len(fibre) < d:
         return None
-    hom = Homotopy(compiled_sq, generic_sq, cfg.gamma())
+    hom = Homotopy(compiled_sq, None, cfg.gamma(),
+                   [_correction(system, len(fibre), w, U) for w in (lam, Lam.ravel())])
     diverged = stats.n_diverged
     pts, flags = _endpoints(hom, np.array([p[0] for p in fibre]), stats)
     stats.generic_count = d
     stats.n_lost += stats.n_diverged - diverged
     return accept(pts, flags)
-
-
-def _reweighted(system: PolySystem, weights: WeightMatrix) -> PolySystem:
-    """The same chart at other weights: Lam_v enters only x_v's Lagrange
-    row, as Lam_v (x_v - u_v), so only those rows change."""
-    inst = system.instance.with_weights(weights)
-    shift = (weights.as_array() - system.instance.weights.as_array()).ravel()
-    u = inst.data_array().ravel()
-    equations = list(system.equations)
-    for v, dv in enumerate(shift):
-        k = system.grad_map[v]
-        equations[k] = equations[k] + dv * (Poly.var(system.n_vars, v) - u[v])
-    return replace(system, equations=equations, instance=inst, potential=None)
 
 
 def _predict(instance: Instance) -> tuple[int | None, str]:

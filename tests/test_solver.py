@@ -627,10 +627,9 @@ def test_seeding_declines_where_no_seed_lies_on_the_section(monkeypatch):
     assert X.shape == N.shape == (0, 3, 3)
     monkeypatch.setattr(sv, "track_batch", lambda *a: pytest.fail("tracked a path"))
     system = sy.normal_space(inst)
-    mixed = sv.square_up(system, np.random.default_rng(0))
     stats = sv.PathStats()
-    assert sv._fill_fibre(system, mixed, sv.normalize_equations(mixed), None, 6,
-                          sv.TrackerConfig(seed=3), None, stats) == []
+    assert sv._fill_fibre(system, None, 6, sv.TrackerConfig(seed=3), None,
+                          stats) == []
     assert stats.n_paths == 0
 
 
@@ -656,6 +655,114 @@ def test_seeded_solve_tracks_no_chart_past_the_count():
 
 
 # -- the weight route ------------------------------------------------------------
+
+def _square_chart(system, seed):
+    # the chart's draws, as solve_system makes them
+    rng = np.random.default_rng((seed, sv.DRAW_KEY))
+    mixed = sv.square_up(system, rng)
+    return mixed, sv.normalize_equations(mixed)
+
+
+def test_parameter_mode_on_a_data_segment_is_the_offset_homotopy():
+    # reference: a data-only segment as constant offsets a, b found by the
+    # rows' identity in the mixed equations, H = F + a + t (b - a)
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    system = sy.normal_space(inst)
+    mixed, squared = _square_chart(system, 6)
+    compiled = sv.CompiledSystem(squared, system.n_vars)
+    U = inst.data_array()
+    position = {id(eq): k for k, eq in enumerate(mixed)}
+    rows = np.array([position[id(system.equations[system.grad_map[v]])]
+                     for v in range(6)])
+    coef = np.array([squared[k].terms[tuple(int(i == v) for i in range(system.n_vars))]
+                     for v, k in enumerate(rows)])
+    rng = np.random.default_rng(3)
+    npaths = 5
+    V0 = U + rng.normal(size=(npaths, 2, 3)) + 1j * rng.normal(size=(npaths, 2, 3))
+    V1 = U + rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+
+    def offset(v):
+        out = np.zeros(v.shape[:-2] + (len(squared),), dtype=complex)
+        out[..., rows] = coef * (U - v).reshape(v.shape[:-2] + (6,))
+        return np.broadcast_to(out, (npaths, len(squared)))
+
+    a, b = offset(V0), offset(V1)
+    hom = sv.Homotopy(compiled, move=[sv._correction(system, npaths, None, V)
+                                      for V in (V0, V1)])
+    x = rng.normal(size=(3, system.n_vars)) + 1j * rng.normal(size=(3, system.n_vars))
+    t, paths = rng.uniform(size=3), np.array([4, 0, 2])
+    h, hx, ht = hom.eval_jac(x, t, paths)
+    fv, fj = compiled.eval_and_jac(x)
+    assert np.array_equal(h, fv + a[paths] + t[:, None] * (b[paths] - a[paths]))
+    assert np.array_equal(hx, fj)
+    assert np.array_equal(ht, b[paths] - a[paths])
+    assert np.array_equal(hom.end_eval(x, paths), fv + b[paths])
+
+
+def _reweighted(system, weights):
+    # reference: the same chart rebuilt at other weights; Lam_v enters only
+    # x_v's Lagrange row, as Lam_v (x_v - u_v)
+    inst = system.instance.with_weights(weights)
+    shift = (weights.as_array() - system.instance.weights.as_array()).ravel()
+    u = inst.data_array().ravel()
+    equations = list(system.equations)
+    for v, dv in enumerate(shift):
+        k = system.grad_map[v]
+        equations[k] = equations[k] + dv * (Poly.var(system.n_vars, v) - u[v])
+    return dataclasses.replace(system, equations=equations, instance=inst,
+                               potential=None)
+
+
+def test_parameter_mode_on_a_weight_segment_starts_at_the_rebuilt_chart():
+    inst = st.dense_instance(2, 3, 1, seed=6, s=2)
+    system = sy.normal_space(inst)
+    mixed, squared = _square_chart(system, 6)
+    compiled = sv.CompiledSystem(squared, system.n_vars)
+    rng = np.random.default_rng(5)
+    weights = st.WeightMatrix.from_rows(rng.uniform(0.5, 2.0, size=(2, 3)).tolist())
+    generic = _reweighted(system, weights)
+    g_mixed, _ = _square_chart(generic, 6)
+    U, lam = inst.data_array(), weights.as_array().ravel()
+    inst_lam = inst.weights.as_array().ravel()
+    hom = sv.Homotopy(compiled, None, sv.TrackerConfig(seed=1).gamma(),
+                      [sv._correction(system, 4, w, U) for w in (lam, inst_lam)])
+    x = rng.normal(size=(4, system.n_vars)) + 1j * rng.normal(size=(4, system.n_vars))
+    paths = np.arange(4)
+    # each squared row times its scale (1 / c) is the chart at Lam_g, t = 0
+    scale = np.array([max(abs(c) for c in eq.terms.values()) for eq in mixed])
+    h, hx, _ = hom.eval_jac(x, np.zeros(4), paths)
+    ref = sv.CompiledSystem(g_mixed, system.n_vars)
+    assert np.allclose(h * scale, ref.eval(x), rtol=1e-13, atol=1e-12)
+    assert np.allclose(hx * scale[:, None], ref.jac(x), rtol=1e-13, atol=1e-12)
+    # at t = 1 it is the instance's squared system
+    assert np.allclose(hom.end_eval(x, paths), compiled.eval(x), rtol=0, atol=1e-14)
+    # dH/dt in closed form
+    t, step = np.full(4, 0.3), 1e-6
+    h_plus, h_minus = (hom.eval_jac(x, t + e, paths)[0] for e in (step, -step))
+    ht = hom.eval_jac(x, t, paths)[2]
+    assert np.allclose((h_plus - h_minus) / (2 * step), ht, rtol=1e-7, atol=1e-8)
+    # the accept step's full system at Lam_g, through the same correction
+    fv = sv.CompiledSystem(system.equations, system.n_vars).eval(x)
+    sv._shift(fv, None, x, sv._correction(system, 1, lam, U, squared=False))
+    ref_full = sv.CompiledSystem(generic.equations, system.n_vars).eval(x)
+    assert np.allclose(fv, ref_full, rtol=1e-13, atol=1e-12)
+
+
+def test_the_weight_route_compiles_one_chart(monkeypatch):
+    # the fill at generic weights and the route run in the instance's chart:
+    # one full and one squared system
+    init, built = sv.CompiledSystem.__init__, []
+
+    def counting(self, *args):
+        built.append(len(args[0]))
+        init(self, *args)
+
+    monkeypatch.setattr(sv.CompiledSystem, "__init__", counting)
+    ss = sv.solve(st.dense_instance(3, 3, 2, seed=3), "auto", sv.TrackerConfig(seed=1))
+    assert ss.stats.start_kind == "weights"
+    assert (ss.n_complex, ss.generic_count, ss.stats.n_lost) == (35, 39, 4)
+    assert len(built) == 2
+
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_weights_with_a_vanishing_minor_take_the_weight_route(r):
