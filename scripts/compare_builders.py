@@ -6,8 +6,9 @@ the builder returned (term order and coefficients of every equation, the
 potential, grad_map, merge block, the chart map and degenerate
 predicate at a fixed point, seeds and lifts, section arrays, projected data,
 and the points and path counts of a few small solves through every route:
-seeded fill, weight route and start system).  Every builder reads an
-``Instance``; the rank-one charts get the instance at the rank they take.
+seeded fill, weight route and start system, one with paths that stall).
+Every builder reads an ``Instance``; the rank-one charts get the instance at
+the rank they take.
 Run it in each checkout and diff the outputs:
 
     PYTHONPATH=src python3 scripts/compare_builders.py > builders.txt
@@ -134,6 +135,12 @@ def cases():
              "auto")):
         ss = solver.solve(inst, form, solver.TrackerConfig(seed=1))
         yield label, [_points(ss), vars(ss.stats)]
+    # the tracker seed of this solve in perfbench's solve-stream seed 2, pass
+    # 0 (derived_seed(2, 0, 23)): some of its paths stall short of t = 1 far
+    # from the data, so it shows what the tracker's end step does with them
+    ones = hankel.with_weights(structured.hankel_weights(5, "ones"))
+    ss = solver.solve(ones.with_rank(2), "auto", solver.TrackerConfig(seed=2164777691))
+    yield "solve hankel33 ones r=2", [_points(ss), vars(ss.stats)]
 
 
 def main() -> None:

@@ -37,7 +37,11 @@ evaluation plus a batched linear solve; results are canonically sorted at
 the end.
 
 Tolerances and step limits are module constants (TRACK_TOL ... DIV_THRESHOLD
-below); a ``TrackerConfig`` carries only the seed.
+below); a ``TrackerConfig`` carries only the seed.  A path ends DIVERGED
+past DIV_THRESHOLD, FAILED below MIN_STEP or at MAX_STEPS, and one end step
+per batch (`_endgame`) runs Newton at t = 1 on the paths that reached it:
+CONVERGED, else SINGULAR, or DIVERGED past a norm of 1e5 (1e4 for a FAILED
+path).
 """
 
 from __future__ import annotations
@@ -518,10 +522,10 @@ class Homotopy:
                 phi, dphi = phi / s, self.gamma / s ** 2
             k0 = k0[paths]
             ht = k1[paths] - k0
-            d = None if d0 is None else d0[paths] + phi * (d1[paths] - d0[paths])
+            d = None if d0 is None else d0 + phi * (d1 - d0)
             h = _shift(fv, fj, x, (rows, d, k0))[0] + phi * ht
             if d is not None:
-                ht[:, rows] += (d1[paths] - d0[paths]) * x[:, :d.shape[1]]
+                ht[:, rows] += (d1 - d0) * x[:, :d.shape[1]]
             if self.gamma != 1:
                 ht *= dphi
             return h, fj, ht
@@ -547,7 +551,7 @@ class Homotopy:
         fv, fj = self.f.eval_and_jac(x) if jac else (self.f.eval(x), None)
         if self.start is None:
             rows, d, k = self.move[1]
-            _shift(fv, fj, x, (rows, None if d is None else d[paths], k[paths]))
+            _shift(fv, fj, x, (rows, d, k[paths]))
         return (fv, fj) if jac else fv
 
 
@@ -555,7 +559,7 @@ def _shift(fv: np.ndarray, fj: np.ndarray | None, x: np.ndarray,
            shift: tuple | None) -> tuple:
     """Move a chart's values and Jacobian (or None) in place by ``shift`` =
     (rows, d, k): they gain k, and x_v's row, rows.start + v, gains d_v x_v
-    (unless d is None)."""
+    (unless d is None; one row d serves every path)."""
     if shift is not None:
         rows, d, k = shift
         fv += k
@@ -593,15 +597,14 @@ def _correction(system: PolySystem, n: int, lam: np.ndarray | None, v: np.ndarra
     if lam is None:
         return rows, None, np.broadcast_to(k, (n, neqs))
     k[..., rows] += c * (Lam - lam) * v
-    return rows, np.broadcast_to(c * (lam - Lam), (n, len(lagrange))), \
-        np.broadcast_to(k, (n, neqs))
+    return rows, c * (lam - Lam), np.broadcast_to(k, (n, neqs))
 
 
 def track_batch(hom: Homotopy, x0: np.ndarray):
     """Track one batch of paths from t=0 to t=1.
 
     Returns (status array, endpoint array); endpoints are meaningful for
-    CONVERGED and SINGULAR (endgame-extrapolated) paths.
+    CONVERGED and SINGULAR paths, those that reached t = 1 (`_endgame`).
     """
     with np.errstate(all="ignore"):
         return _track_batch_impl(hom, x0)
@@ -615,8 +618,6 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
     status = np.full(n, ACTIVE, dtype=np.int8)
     streak = np.zeros(n, dtype=np.int32)
     steps = np.zeros(n, dtype=np.int64)
-    rejects = np.zeros(n, dtype=np.int64)
-    endpoint = np.zeros_like(x)
 
     def rk4(xa, ta, ha, ra):
         k1, ok1 = hom.tangent(xa, ta, ra)
@@ -646,48 +647,25 @@ def _track_batch_impl(hom: Homotopy, x0: np.ndarray):
         x[ia] = xc[accept]
         t[ia] = ta[accept] + ha[accept]
         streak[ia] += 1
-        rejects[ia] = 0
         grow = ia[streak[ia] >= 2]
         h[grow] = np.minimum(h[grow] * 1.5, MAX_STEP)
-        # rejected paths halve the step; only consecutive rejects count as stuck
+        # rejected paths halve the step (from at most MAX_STEP, so 44 rejects
+        # in a row take it below MIN_STEP)
         ir = act[~accept]
         h[ir] *= 0.5
         streak[ir] = 0
-        rejects[ir] += 1
         steps[act] += 1
 
         norms = np.max(np.abs(x[act]), axis=1)
         diverged = act[~np.isfinite(norms) | (norms > DIV_THRESHOLD)]
         status[diverged] = DIVERGED
-
-        stalled = act[((h[act] < MIN_STEP) | (rejects[act] > 50))
+        stalled = act[((h[act] < MIN_STEP) | (steps[act] >= MAX_STEPS))
                       & (status[act] == ACTIVE)]
         status[stalled] = FAILED
-        exhausted = act[(steps[act] >= MAX_STEPS) & (status[act] == ACTIVE)]
-        status[exhausted] = FAILED
+        # paths at t = 1 wait for the end step
+        status[act[(status[act] == ACTIVE) & (t[act] >= 1.0 - 2e-10)]] = SINGULAR
 
-        done = np.nonzero((status == ACTIVE) & (t >= 1.0 - 2e-10))[0]
-        if done.size:
-            xe, conv = newton_target(hom, x[done], done)
-            endpoint[done] = xe
-            # unbounded endpoints that fail the final Newton are at infinity,
-            # not singular
-            big = np.max(np.abs(x[done]), axis=1) > 1e5
-            status[done] = np.where(conv, CONVERGED,
-                                    np.where(big, DIVERGED, SINGULAR))
-
-    # endgame for stalled paths that got close to the end
-    stalled = np.nonzero((status == FAILED) & (t > 0.95))[0]
-    if stalled.size:
-        xe, got = _endgame(hom, x[stalled], t[stalled], stalled)
-        endpoint[stalled[got]] = xe[got]
-        status[stalled[got]] = SINGULAR
-    # paths abandoned at a large norm were heading to infinity
-    big_fail = np.nonzero((status == FAILED)
-                          & (np.max(np.abs(x), axis=1) > 1e4))[0]
-    status[big_fail] = DIVERGED
-
-    return status, endpoint
+    return _endgame(hom, x, status)
 
 
 def _newton(eval_and_jac, x: np.ndarray, iters: int, tol: float):
@@ -729,35 +707,25 @@ def newton_target(hom: Homotopy, x: np.ndarray, rows: np.ndarray, iters: int = 1
     return xc, conv
 
 
-def _endgame(hom: Homotopy, x: np.ndarray, t: np.ndarray, rows: np.ndarray):
-    """Geometric marching toward t=1 with vector extrapolation.
+def _endgame(hom: Homotopy, x: np.ndarray, status: np.ndarray):
+    """The end step of a tracked batch, given its last points and statuses.
 
-    Samples x(t_k) at t_k = 1 - (1 - t0) 2^-k via damped Newton correction,
-    then extrapolates the geometric tail; used for singular endpoints only.
+    One Newton run on the system at t = 1 (`newton_target`) takes the paths
+    that reached t = 1 (SINGULAR) to CONVERGED where it converges.  A path
+    still unconverged is at infinity (DIVERGED) where its last point is past
+    1e5, or past 1e4 for one that stopped short (FAILED); every other path
+    stays SINGULAR or FAILED.  Returns (status, endpoints).
     """
-    xc = x.astype(complex)
-    tc = t.copy()
-    samples = [xc.copy()]
-    alive = np.ones(x.shape[0], dtype=bool)
-    for _ in range(14):
-        tc = 1.0 - (1.0 - tc) * 0.5
-        xc2, _, ok = _newton(lambda i, z: hom.eval_jac(z, tc[i], rows[i])[:2],
-                             xc, 12, 1e-8)
-        alive &= ok & (np.max(np.abs(xc2), axis=1) < DIV_THRESHOLD)
-        xc = np.where(alive[:, None], xc2, xc)
-        samples.append(xc.copy())
-    # Aitken-style limit from the last three samples
-    s0, s1, s2 = samples[-3], samples[-2], samples[-1]
-    d1, d2 = s1 - s0, s2 - s1
-    denom = np.sum(np.abs(d1 - d2) ** 2, axis=1)
-    small = denom < 1e-30
-    ratio = np.where(small, 0.0,
-                     np.sum((d2 * np.conj(d1 - d2)), axis=1) / np.where(small, 1.0, denom))
-    ratio = np.clip(np.abs(ratio), 0.0, 0.95) * np.exp(1j * np.angle(ratio))
-    limit = s2 + d2 * (ratio / (1.0 - ratio))[:, None]
-    res = np.max(np.abs(hom.end_eval(limit, rows)), axis=1)
-    got = alive & (res < 1e-4 * (1.0 + hom.f.coeff_scale))
-    return limit, got
+    endpoint = np.zeros_like(x)
+    reached = np.nonzero(status == SINGULAR)[0]
+    if reached.size:
+        endpoint[reached], conv = newton_target(hom, x[reached], reached)
+        status[reached[conv]] = CONVERGED
+    bound = np.where(status == SINGULAR, 1e5, 1e4)
+    far = ((status == SINGULAR) | (status == FAILED)) \
+        & (np.max(np.abs(x), axis=1) > bound)
+    status[far] = DIVERGED
+    return status, endpoint
 
 
 def refine_full(compiled_full: CompiledSystem, points: np.ndarray,

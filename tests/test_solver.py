@@ -41,6 +41,38 @@ def test_track_identity_homotopy():
     assert np.allclose(endp, x0, atol=1e-8)
 
 
+def test_track_univariate_end_outcomes():
+    gamma = sv.TrackerConfig(seed=1).gamma()
+    # x - 2 from {x^2 - 1}: one path ends at the root, the other at infinity
+    hom = sv.Homotopy(sv.CompiledSystem([Poly(1, {(1,): 1.0, (0,): -2.0})], 1),
+                      sv.PowerStart([2], np.array([1.0 + 0j])), gamma)
+    status, endp = sv.track_batch(hom, np.array([[1.0 + 0j], [-1.0 + 0j]]))
+    assert list(status) == [sv.CONVERGED, sv.DIVERGED]
+    assert abs(endp[0, 0] - 2.0) < 1e-10
+    # (x - 1)^2 (x + 1) from {x^3 - 1}: two paths meet at the double root
+    target = Poly(1, {(3,): 1.0, (2,): -1.0, (1,): -1.0, (0,): 1.0})
+    hom = sv.Homotopy(sv.CompiledSystem([target], 1),
+                      sv.PowerStart([3], np.array([1.0 + 0j])), gamma)
+    roots = np.exp(2j * np.pi * np.arange(3) / 3)[:, None]
+    status, endp = sv.track_batch(hom, roots)
+    assert list(status) == [sv.SINGULAR, sv.CONVERGED, sv.CONVERGED]
+    assert abs(endp[0, 0] - 1.0) < 1e-3
+
+
+def test_end_step_on_paths_that_stopped_short():
+    # paths abandoned before t = 1 (FAILED) are at infinity far from the
+    # origin, also after a tiny move of their point, and stay FAILED near
+    # it; a path that reached t = 1 (SINGULAR) gets Newton at t = 1
+    hom = sv.Homotopy(sv.CompiledSystem([Poly(1, {(1,): 1.0, (0,): -2.0})], 1),
+                      sv.PowerStart([1], np.array([1.0 + 0j])), 1j)
+    far = 1.6e5 * np.exp(0.3j)
+    x = np.array([[far], [far * (1 + 1e-8)], [10.0 + 0j], [2.0 + 1e-9j]])
+    status = np.array([sv.FAILED, sv.FAILED, sv.FAILED, sv.SINGULAR], dtype=np.int8)
+    status, endp = sv._endgame(hom, x, status)
+    assert list(status) == [sv.DIVERGED, sv.DIVERGED, sv.FAILED, sv.CONVERGED]
+    assert abs(endp[3, 0] - 2.0) < 1e-12
+
+
 def test_track_linear_system_oracle():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 4))
